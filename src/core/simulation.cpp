@@ -22,38 +22,25 @@ namespace solarcore::core {
 
 namespace {
 
-cpu::MultiCoreChip
-buildChip(workload::WorkloadId workload, const SimConfig &cfg)
-{
-    const auto table = cfg.dvfsLevels == 6
-        ? cpu::DvfsTable::paperDefault()
-        : cpu::DvfsTable::interpolated(cfg.dvfsLevels);
-    return cpu::MultiCoreChip(cpu::defaultChipConfig(), table,
-                              cpu::EnergyParams{},
-                              workload::workloadSet(workload), cfg.seed);
-}
-
-void
-setDieTemps(cpu::MultiCoreChip &chip, double ambient_c)
-{
-    // Simple thermal proxy: dies run ~30 K above ambient under load.
-    for (int i = 0; i < chip.numCores(); ++i)
-        chip.core(i).setDieTempC(ambient_c + 30.0);
-}
-
 /**
- * One step of the per-core RC thermal loop: integrate each die's
- * temperature, feed it back into the leakage model, and throttle any
- * core past the limit. Returns the number of forced notch-downs.
+ * One step of die temperature. With cfg.rcThermal, the per-core RC
+ * loop: integrate each die's temperature, feed it back into the
+ * leakage model, and throttle any core past the limit. Otherwise the
+ * simple proxy: dies run ~30 K above ambient under load. Returns the
+ * number of forced notch-downs.
  */
 int
-stepRcThermal(cpu::MultiCoreChip &chip,
-              std::vector<cpu::ThermalModel> &thermal, double ambient_c,
-              const SimConfig &cfg)
+stepThermal(cpu::MultiCoreChip &chip,
+            std::vector<cpu::ThermalModel> &thermal, double ambient_c,
+            const SimConfig &cfg)
 {
     int throttles = 0;
     for (int i = 0; i < chip.numCores(); ++i) {
         auto &core = chip.core(i);
+        if (!cfg.rcThermal) {
+            core.setDieTempC(ambient_c + 30.0);
+            continue;
+        }
         const double t = thermal[static_cast<std::size_t>(i)].step(
             core.power().totalW(), ambient_c, cfg.dtSeconds);
         core.setDieTempC(t);
@@ -73,46 +60,48 @@ stepRcThermal(cpu::MultiCoreChip &chip,
     return throttles;
 }
 
-/** Emit a Retrack trigger event (tracing only). */
-void
-emitRetrack(obs::TraceBuffer *trace, obs::RetrackCause cause,
-            double budget_w, double demand_w)
-{
-    obs::TraceEvent e;
-    e.kind = obs::EventKind::Retrack;
-    e.arg0 = static_cast<std::uint8_t>(cause);
-    e.v0 = budget_w;
-    e.v1 = demand_w;
-    trace->emit(e);
-}
-
 /**
  * Fold one simulated day's counters into the caller's registry. The
  * MPP-cache numbers are deltas against the counts at day start so a
  * shared cross-day cache is not double-counted; the hit rate is a
  * formula over the accumulated operands, so it stays correct when
- * per-worker registries are merged.
+ * per-worker registries are merged. A battery day counts under
+ * sim.batteryDays and folds only its energy and instructions: its
+ * chip energy is what it drew from storage and its instructions are
+ * the chip's day total.
  */
 void
-foldDayStats(obs::StatsRegistry &reg, const DayResult &day,
+foldDayStats(obs::StatsRegistry &reg, bool battery, const DayResult &day,
              const cpu::MultiCoreChip &chip,
              const pv::MppCache::Stats &cache_now,
              const pv::MppCache::Stats &cache_start)
 {
-    ++reg.scalar("sim.days", "simulated days folded into this registry");
     reg.scalar("sim.mppEnergyWh", "theoretical MPP energy [Wh]") +=
         day.mppEnergyWh;
+    reg.scalar("sim.chipEnergyWh", "energy the chip consumed [Wh]") +=
+        battery ? day.solarEnergyWh : day.chipEnergyWh;
+    reg.scalar("sim.totalInstructions", "instructions retired in total") +=
+        battery ? chip.totalInstructions() : day.totalInstructions;
+    reg.scalar("pv.mppCache.hits", "MPP memo hits") +=
+        static_cast<double>(cache_now.hits - cache_start.hits);
+    reg.scalar("pv.mppCache.misses", "MPP memo misses (full solves)") +=
+        static_cast<double>(cache_now.misses - cache_start.misses);
+    reg.formula("pv.mppCache.hitRate",
+                dayFormulaByName("pv.mppCache.hitRate"),
+                "hit fraction of MPP memo lookups");
+    if (battery) {
+        ++reg.scalar("sim.batteryDays",
+                     "battery-baseline days folded into this registry");
+        return;
+    }
+    ++reg.scalar("sim.days", "simulated days folded into this registry");
     reg.scalar("sim.solarEnergyWh", "energy drawn from the panel [Wh]") +=
         day.solarEnergyWh;
     reg.scalar("sim.gridEnergyWh", "energy drawn from the utility [Wh]") +=
         day.gridEnergyWh;
-    reg.scalar("sim.chipEnergyWh", "energy the chip consumed [Wh]") +=
-        day.chipEnergyWh;
     reg.scalar("sim.solarInstructions",
                "instructions retired on solar power") +=
         day.solarInstructions;
-    reg.scalar("sim.totalInstructions", "instructions retired in total") +=
-        day.totalInstructions;
     reg.scalar("sim.thermalThrottles",
                "forced notch-downs from overheating") +=
         day.thermalThrottles;
@@ -143,71 +132,13 @@ foldDayStats(obs::StatsRegistry &reg, const DayResult &day,
         static_cast<double>(chip.totalDvfsTransitions());
     reg.scalar("chip.gateTransitions", "PCPG transitions, all cores") +=
         static_cast<double>(chip.totalGateTransitions());
-
-    reg.scalar("pv.mppCache.hits", "MPP memo hits") +=
-        static_cast<double>(cache_now.hits - cache_start.hits);
-    reg.scalar("pv.mppCache.misses", "MPP memo misses (full solves)") +=
-        static_cast<double>(cache_now.misses - cache_start.misses);
-    reg.formula("pv.mppCache.hitRate",
-                dayFormulaByName("pv.mppCache.hitRate"),
-                "hit fraction of MPP memo lookups");
 }
 
 /**
- * Select the day's MPP memo: the caller-provided cross-day cache when
- * it matches this simulation's array, else a fresh per-day one (still
- * collapses repeated trace conditions, e.g. the overcast plateaus).
- */
-pv::MppCache &
-selectMppCache(std::optional<pv::MppCache> &local,
-               const pv::PvModule &module, const SimConfig &cfg)
-{
-    if (cfg.mppCache &&
-        cfg.mppCache->compatibleWith(module, cfg.modulesSeries,
-                                     cfg.modulesParallel))
-        return *cfg.mppCache;
-    local.emplace(module, cfg.modulesSeries, cfg.modulesParallel);
-    return *local;
-}
-
-/** Caller-owned workspace when provided, else a per-call local one. */
-SimWorkspace &
-selectWorkspace(std::optional<SimWorkspace> &local, const SimConfig &cfg)
-{
-    if (cfg.workspace)
-        return *cfg.workspace;
-    local.emplace();
-    return *local;
-}
-
-/**
- * Stage the per-step environments for @p trace into @p ws and resolve
- * their MPPs in one batched lookup. The minute walk replicates the
- * drivers' main loops exactly, so step indices line up one-to-one.
- * assign()/clear() reset contents but keep capacity: with a reused
- * workspace this allocates only when the trace grows.
- */
-void
-stageStepMpps(SimWorkspace &ws, const pv::PvModule &module,
-              const solar::SolarTrace &trace, double dt_min,
-              pv::MppCache &mpp_cache)
-{
-    ws.stepEnvs.clear();
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        ws.stepEnvs.push_back({g, module.cellTempFromAmbient(ambient, g)});
-    }
-    ws.stepMpps.assign(ws.stepEnvs.size(), pv::MppResult{});
-    mpp_cache.lookupBatch(ws.stepEnvs, ws.stepMpps);
-}
-
-/**
- * Per-step waveform sampling shared by all three day drivers. Every
- * driver registers the identical channel superset (channels a driver
- * never sets stay NaN / empty CSV cells), which is what lets a
- * campaign concatenate per-unit recorders into one columnar file.
+ * Per-step waveform sampling. Every supply registers the identical
+ * channel superset (channels a supply never sets stay NaN / empty CSV
+ * cells), which is what lets a campaign concatenate per-unit
+ * recorders into one columnar file.
  */
 class DayTelemetry
 {
@@ -238,12 +169,11 @@ class DayTelemetry
         }
     }
 
-    explicit operator bool() const { return rec_ != nullptr; }
-
     /**
      * Sample one step. @p net may be null (no solved electrical state
-     * this step); pass NaN for @p converter_k / @p battery_soc when
-     * the driver has no converter / battery.
+     * this step); pass NaN for @p mpp_w / @p converter_k /
+     * @p battery_soc when the supply has no panel coupling / converter
+     * / battery.
      */
     void
     sample(double minute, const cpu::MultiCoreChip &chip, double mpp_w,
@@ -300,58 +230,112 @@ class DayTelemetry
     std::vector<CoreChannels> cores_;
 };
 
-/** The per-core DVFS/gating legality sweep shared by the drivers. */
-void
-auditChipState(obs::Auditor &audit, const cpu::MultiCoreChip &chip)
+/**
+ * Where a day's power comes from -- the only thing the step loop
+ * varies. Everything else (set-up, MPP staging, thermal, ATS, period
+ * error, telemetry, chip stepping, audit, timeline, stats) is shared.
+ */
+enum class Supply {
+    Tracked, //!< panel through the MPPT controller (Opt/RR/IC)
+    Fixed,   //!< panel at cfg.fixedBudgetW, allocated by the optimizer
+    Battery, //!< storage at a stable de-rated budget; no ATS
+    Hybrid,  //!< Tracked plus a storage buffer (paper Section 8)
+};
+
+/** The panel-coupled supply a plain day runs under @p cfg's policy. */
+Supply
+panelSupply(const SimConfig &cfg)
 {
-    for (int i = 0; i < chip.numCores(); ++i) {
-        const auto &core = chip.core(i);
-        audit.checkDvfsLegality(i, core.level(), chip.dvfs().minLevel(),
-                                chip.dvfs().maxLevel(), core.gated(),
-                                chip.gatingAllowed(),
-                                "core DVFS/gating state");
-    }
+    return cfg.policy == PolicyKind::FixedPower ? Supply::Fixed
+                                                : Supply::Tracked;
 }
 
-} // namespace
+/** What one day leaves for the public wrappers to report. */
+struct DayRun
+{
+    DayResult day;
+    double budgetW = 0.0;      //!< Fixed/Battery: allocation budget
+    double instructions = 0.0; //!< chip.totalInstructions() at day end
+    double bufferedWh = 0.0;   //!< Hybrid: energy from the buffer
+};
 
-DayResult
-simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
-            workload::WorkloadId workload, const SimConfig &cfg)
+/**
+ * The one day loop behind simulateDay, simulateHybridDay and
+ * simulateBatteryDay. @p supply_arg is the battery de-rating factor or
+ * the hybrid buffer capacity [Wh]; the other supplies ignore it.
+ */
+DayRun
+runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
+       workload::WorkloadId workload, const SimConfig &cfg, Supply supply,
+       double supply_arg)
 {
     SC_ASSERT(!trace.empty(), "simulateDay: empty trace");
     SC_ASSERT(cfg.dtSeconds > 0.0, "simulateDay: bad step");
     SC_PROFILE_SCOPE("day");
 
-    DayResult result;
+    DayRun run;
+    DayResult &result = run.day;
+    const bool tracking =
+        supply == Supply::Tracked || supply == Supply::Hybrid;
 
-    auto chip = buildChip(workload, cfg);
+    cpu::MultiCoreChip chip(cpu::defaultChipConfig(),
+                            cfg.dvfsLevels == 6
+                                ? cpu::DvfsTable::paperDefault()
+                                : cpu::DvfsTable::interpolated(
+                                      cfg.dvfsLevels),
+                            cpu::EnergyParams{},
+                            workload::workloadSet(workload), cfg.seed);
     chip.setGatingAllowed(cfg.pcpg);
     pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
                       pv::kStc);
+    // The day's MPP memo: the caller's cross-day cache when it matches
+    // this array, else a fresh per-day one (still collapses repeated
+    // trace conditions, e.g. the overcast plateaus).
     std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
-
-    const bool tracking = cfg.policy != PolicyKind::FixedPower;
-    auto adapter = tracking ? makeAdapter(cfg.policy) : nullptr;
-    std::optional<SolarCoreController> controller;
-    if (tracking)
-        controller.emplace(array, chip, *adapter, cfg.controller);
-
-    const double threshold =
-        tracking ? cfg.thresholdW : cfg.fixedBudgetW;
-    power::TransferSwitch ats(threshold, 0.02 * threshold);
+    if (!cfg.mppCache ||
+        !cfg.mppCache->compatibleWith(module, cfg.modulesSeries,
+                                      cfg.modulesParallel))
+        local_cache.emplace(module, cfg.modulesSeries, cfg.modulesParallel);
+    pv::MppCache &mpp_cache = local_cache ? *local_cache : *cfg.mppCache;
 
     obs::TraceBuffer *const tbuf = cfg.trace;
-    ats.setTrace(tbuf);
-    if (tracking)
+    // The hybrid tracks even under a Fixed-Power config.
+    auto adapter = tracking
+        ? makeAdapter(cfg.policy == PolicyKind::FixedPower
+                          ? PolicyKind::MpptOpt
+                          : cfg.policy)
+        : nullptr;
+    std::optional<SolarCoreController> controller;
+    if (tracking) {
+        controller.emplace(array, chip, *adapter, cfg.controller);
         controller->setTrace(tbuf);
+    }
+
+    const double threshold =
+        supply == Supply::Fixed ? cfg.fixedBudgetW : cfg.thresholdW;
+    power::TransferSwitch ats(threshold, 0.02 * threshold);
+    // The battery baseline runs the whole window on stored energy: its
+    // switch stays on "solar" and only keeps the energy ledger.
+    if (supply == Supply::Battery)
+        ats.force(power::PowerSource::Solar);
+    ats.setTrace(tbuf);
+    std::optional<power::Battery> buffer;
+    if (supply == Supply::Hybrid) {
+        buffer.emplace(supply_arg, 0.95, 0.90);
+        buffer->setTrace(tbuf);
+    }
     DayTelemetry telem(cfg.telemetry, chip);
     obs::Auditor *const audit = cfg.audit;
     if (audit)
         audit->setTrace(tbuf);
+    const char *const budget_check = supply == Supply::Fixed
+        ? "solar draw vs fixed budget"
+        : supply == Supply::Battery
+        ? "battery baseline draw vs stable budget"
+        : "solar draw vs MPP budget";
     const pv::MppCache::Stats cache_start = mpp_cache.stats();
-    obs::HistogramStat *const err_hist = cfg.stats
+    obs::HistogramStat *const err_hist =
+        cfg.stats && supply != Supply::Battery
         ? &cfg.stats->histogram("sim.periodErrorPct", 0.0, 50.0, 25,
                                 "per-period relative tracking error [%]")
         : nullptr;
@@ -384,27 +368,59 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         period_consumed = RunningStats();
     };
 
+    // Caller-owned workspace when provided, else a per-call local one.
     std::optional<SimWorkspace> local_ws;
-    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
+    if (!cfg.workspace)
+        local_ws.emplace();
+    SimWorkspace &ws = cfg.workspace ? *cfg.workspace : *local_ws;
     ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
                       cpu::ThermalModel());
-    std::vector<cpu::ThermalModel> &thermal = ws.thermal;
 
     const double dt_min = cfg.dtSeconds / 60.0;
+    const double dt_h = cfg.dtSeconds / 3600.0;
 
     // Batched MPP precompute: the per-step environment is a pure
-    // function of the trace, so every per-step MPP lookup collapses
-    // into one batched call. Results and cache hit/miss counters are
-    // sequential-equivalent, and lookupBatch degrades to the legacy
-    // per-step path under the Scalar kernel or the Newton oracle.
-    stageStepMpps(ws, module, trace, dt_min, mpp_cache);
-    const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
-    std::size_t step_index = 0;
+    // function of the trace, so stage every step's environment (the
+    // walk is the step loop's own, so indices line up one-to-one) and
+    // resolve all MPPs in one batched call. Results and cache hit/miss
+    // counters are sequential-equivalent, and lookupBatch degrades to
+    // the legacy per-step path under the Scalar kernel or the Newton
+    // oracle. clear()/assign() keep capacity: a reused workspace
+    // allocates only when the trace grows.
+    ws.stepEnvs.clear();
+    for (double minute = trace.startMinute(); minute <= trace.endMinute();
+         minute += dt_min) {
+        const double g = trace.irradianceAt(minute);
+        const double ambient = trace.ambientAt(minute);
+        ws.stepEnvs.push_back({g, module.cellTempFromAmbient(ambient, g)});
+    }
+    ws.stepMpps.assign(ws.stepEnvs.size(), pv::MppResult{});
+    mpp_cache.lookupBatch(ws.stepEnvs, ws.stepMpps);
+    std::size_t step = 0;
+
+    // The budget of the allocator-driven supplies: Fixed-Power's, or
+    // the stable level the battery's de-rated harvest sustains over
+    // the whole daytime window.
+    run.budgetW = cfg.fixedBudgetW;
+    if (supply == Supply::Battery) {
+        double mpp_wh = 0.0;
+        for (const pv::MppResult &mpp : ws.stepMpps)
+            mpp_wh += mpp.power * cfg.dtSeconds / 3600.0;
+        const double day_hours =
+            (trace.endMinute() - trace.startMinute()) / 60.0;
+        run.budgetW = supply_arg * mpp_wh / day_hours;
+    }
+    // Hybrid buffer: charge-path efficiency of its own MPPT, and the
+    // stable discharge level while bridging sub-threshold periods.
+    constexpr double charge_path_eff = 0.95;
+    const double buffer_budget_w = 2.0 * cfg.thresholdW;
 
     double last_track_minute = -1e9;
     double last_track_budget = 0.0;
     double last_track_demand = 0.0;
-    bool was_on_solar = false;
+    // The battery is on stored energy from the first step, so its
+    // first allocation is periodic rather than a solar entry.
+    bool was_on_solar = supply == Supply::Battery;
     double last_timeline_minute = -1e9;
 
     chip.setAllLevels(chip.dvfs().maxLevel()); // boots on grid, full speed
@@ -412,60 +428,71 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     for (double minute = trace.startMinute(); minute <= trace.endMinute();
          minute += dt_min) {
         SC_PROFILE_SCOPE("step");
-        if (cfg.trace)
-            cfg.trace->setNow(minute);
+        if (tbuf)
+            tbuf->setNow(minute);
         power::NetworkState step_net; //!< solved state, when tracking
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        array.setEnvironment({g, module.cellTempFromAmbient(ambient, g)});
-        if (cfg.rcThermal) {
-            // Close the power -> temperature -> leakage loop per core,
-            // and throttle any core past the thermal limit.
-            result.thermalThrottles +=
-                stepRcThermal(chip, thermal, ambient, cfg);
-        } else {
-            setDieTemps(chip, ambient);
-        }
+        if (tracking)
+            array.setEnvironment(ws.stepEnvs[step]);
+        result.thermalThrottles +=
+            stepThermal(chip, ws.thermal, trace.ambientAt(minute), cfg);
 
-        const pv::MppResult mpp = step_mpps[step_index++];
+        const pv::MppResult mpp = ws.stepMpps[step++];
         result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
 
-        ats.update(mpp.power, cfg.dtSeconds);
+        if (supply != Supply::Battery)
+            ats.update(mpp.power, cfg.dtSeconds);
         bool on_solar = ats.onSolar();
+        bool on_buffer = false;
+        double budget_w = tracking ? mpp.power : run.budgetW;
 
-        if (on_solar && tracking) {
+        if (on_solar) {
+            // Re-track (or re-allocate) on entry, at each period
+            // boundary, and on supply or demand drift; a budgeted
+            // supply's demand drift is phase drift past its budget.
             const bool due =
                 minute - last_track_minute >= cfg.trackingPeriodMinutes;
-            const bool supply_moved = last_track_budget > 0.0 &&
+            const bool supply_moved = tracking && last_track_budget > 0.0 &&
                 std::abs(mpp.power - last_track_budget) >
                     cfg.retrackSupplyDelta * last_track_budget;
-            const bool demand_moved = last_track_demand > 0.0 &&
-                std::abs(chip.totalPower() - last_track_demand) >
-                    cfg.retrackDemandDelta * last_track_demand;
+            const bool demand_moved = tracking
+                ? last_track_demand > 0.0 &&
+                    std::abs(chip.totalPower() - last_track_demand) >
+                        cfg.retrackDemandDelta * last_track_demand
+                : chip.totalPower() > budget_w;
             TrackResult tr;
             if (!was_on_solar || due || supply_moved || demand_moved) {
                 if (tbuf) {
-                    const auto cause = !was_on_solar
-                        ? obs::RetrackCause::SolarEntry
-                        : due ? obs::RetrackCause::Periodic
-                              : supply_moved
-                            ? obs::RetrackCause::SupplyDelta
-                            : obs::RetrackCause::DemandDelta;
-                    emitRetrack(tbuf, cause, mpp.power,
-                                chip.totalPower());
+                    obs::TraceEvent e;
+                    e.kind = obs::EventKind::Retrack;
+                    e.arg0 = static_cast<std::uint8_t>(
+                        !was_on_solar ? obs::RetrackCause::SolarEntry
+                        : due         ? obs::RetrackCause::Periodic
+                        : supply_moved ? obs::RetrackCause::SupplyDelta
+                                       : obs::RetrackCause::DemandDelta);
+                    e.v0 = budget_w;
+                    e.v1 = chip.totalPower();
+                    tbuf->emit(e);
                 }
-                if (due || !was_on_solar)
+                if (tracking && (due || !was_on_solar))
                     close_period();
                 ++result.retracks;
-                tr = controller->track();
                 last_track_minute = minute;
-                last_track_budget = mpp.power;
-                last_track_demand = chip.totalPower();
-            } else {
+                if (tracking) {
+                    tr = controller->track();
+                    last_track_budget = mpp.power;
+                    last_track_demand = chip.totalPower();
+                } else {
+                    const auto alloc = optimizeAllocation(chip, budget_w);
+                    if (alloc.feasible)
+                        applyAllocation(chip, alloc);
+                    else
+                        chip.gateAll();
+                }
+            } else if (tracking) {
                 tr = controller->enforceRail();
             }
             step_net = tr.net;
-            if (!tr.solarViable) {
+            if (tracking && !tr.solarViable) {
                 // Even the minimum sheddable load exceeds what the
                 // panel can carry (possible with PCPG disabled): fail
                 // over to the utility before the rail collapses.
@@ -473,49 +500,47 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                 chip.setAllLevels(chip.dvfs().maxLevel());
                 on_solar = false;
             }
-        } else if (on_solar && !tracking) {
-            // Fixed-Power: (re)allocate to the fixed budget on entry
-            // and at each period boundary; enforce on phase drift.
-            const bool due =
-                minute - last_track_minute >= cfg.trackingPeriodMinutes;
-            if (!was_on_solar || due ||
-                chip.totalPower() > cfg.fixedBudgetW) {
-                if (tbuf) {
-                    const auto cause = !was_on_solar
-                        ? obs::RetrackCause::SolarEntry
-                        : due ? obs::RetrackCause::Periodic
-                              : obs::RetrackCause::DemandDelta;
-                    emitRetrack(tbuf, cause, cfg.fixedBudgetW,
-                                chip.totalPower());
-                }
-                ++result.retracks;
-                const auto alloc =
-                    optimizeAllocation(chip, cfg.fixedBudgetW);
-                if (alloc.feasible)
-                    applyAllocation(chip, alloc);
-                else
-                    chip.gateAll();
-                last_track_minute = minute;
+        } else if (buffer) {
+            // Sub-threshold supply still trickles into the buffer,
+            // which carries the chip at a stable level while it can.
+            buffer->charge(mpp.power * charge_path_eff, dt_h);
+            const auto alloc = optimizeAllocation(chip, buffer_budget_w);
+            const double want = alloc.feasible ? alloc.powerW : 0.0;
+            if (want > 0.0 && buffer->storedWh() * 0.9 >= want * dt_h) {
+                applyAllocation(chip, alloc);
+                run.bufferedWh += buffer->discharge(chip.totalPower(), dt_h);
+                budget_w = buffer_budget_w;
+                on_buffer = true;
+            } else {
+                chip.setAllLevels(chip.dvfs().maxLevel());
             }
-        } else if (!on_solar && was_on_solar) {
+        } else if (was_on_solar) {
             // Fell back to the utility: run as a traditional CMP.
             chip.setAllLevels(chip.dvfs().maxLevel());
         }
 
         const double consumed = chip.totalPower();
-        if (on_solar) {
+        // On solar the panel also supplies the DC/DC conversion loss.
+        const double drawn = on_solar && tracking
+            ? consumed / cfg.controller.converterEfficiency
+            : consumed;
+        // The tracking margin charges the buffer through its own MPPT
+        // path instead of being left on the panel.
+        if (on_solar && buffer)
+            buffer->charge(std::max(0.0, mpp.power - drawn) *
+                               charge_path_eff,
+                           dt_h);
+        if (on_solar && supply != Supply::Battery) {
             period_budget.add(mpp.power);
             period_consumed.add(consumed);
         }
 
-        const double budget_w = tracking ? mpp.power : cfg.fixedBudgetW;
-        if (telem) {
-            telem.sample(minute, chip, mpp.power, budget_w, on_solar,
-                         step_net.valid ? &step_net : nullptr,
-                         tracking ? controller->converter().ratio()
-                                  : std::nan(""),
-                         std::nan(""));
-        }
+        telem.sample(minute, chip,
+                     supply == Supply::Battery ? std::nan("") : mpp.power,
+                     budget_w, on_solar, step_net.valid ? &step_net : nullptr,
+                     tracking ? controller->converter().ratio()
+                              : std::nan(""),
+                     buffer ? buffer->socFraction() : std::nan(""));
 
         const double instr_before = chip.totalInstructions();
         {
@@ -524,23 +549,20 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         }
         const double instr_delta = chip.totalInstructions() - instr_before;
         result.totalInstructions += instr_delta;
-        if (on_solar)
+        if (on_solar || on_buffer)
             result.solarInstructions += instr_delta;
-        // On solar the panel also supplies the DC/DC conversion loss.
-        const double drawn = on_solar && tracking
-            ? consumed / cfg.controller.converterEfficiency
-            : consumed;
-        ats.accountEnergy(drawn, cfg.dtSeconds);
+        if (!on_buffer)
+            ats.accountEnergy(drawn, cfg.dtSeconds);
 
         if (audit) {
             SC_PROFILE_SCOPE("audit");
             audit->setNow(minute);
             audit->countStep();
-            if (on_solar)
+            if (on_solar || on_buffer)
                 audit->checkBudget(drawn, budget_w,
-                                   tracking
-                                       ? "solar draw vs MPP budget"
-                                       : "solar draw vs fixed budget");
+                                   on_buffer ? "buffer draw vs discharge "
+                                               "budget"
+                                             : budget_check);
             if (step_net.valid) {
                 audit->checkRailVoltage(step_net.load.voltage,
                                         cfg.controller.railNominalV,
@@ -551,7 +573,16 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                     array.currentAt(0.0),
                     "solved panel point vs I-V curve");
             }
-            auditChipState(*audit, chip);
+            if (buffer)
+                audit->checkSocRange(buffer->socFraction(),
+                                     "buffer state of charge");
+            for (int i = 0; i < chip.numCores(); ++i) {
+                const auto &core = chip.core(i);
+                audit->checkDvfsLegality(
+                    i, core.level(), chip.dvfs().minLevel(),
+                    chip.dvfs().maxLevel(), core.gated(),
+                    chip.gatingAllowed(), "core DVFS/gating state");
+            }
         }
 
         if (cfg.recordTimeline && minute - last_timeline_minute >= 1.0) {
@@ -563,8 +594,16 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     }
 
     close_period();
+    if (buffer && audit) {
+        audit->setNow(trace.endMinute());
+        audit->checkEnergyBalance(buffer->absorbedWh(), buffer->storedWh(),
+                                  buffer->deliveredWh(), buffer->lostWh(),
+                                  "battery ledger closure");
+    }
 
-    result.solarEnergyWh = ats.solarEnergyWh();
+    // Panel energy: what the switch drew, plus what the buffer absorbed.
+    result.solarEnergyWh =
+        ats.solarEnergyWh() + (buffer ? buffer->absorbedWh() : 0.0);
     result.chipEnergyWh = chip.totalEnergy() / 3600.0;
     result.gridEnergyWh = ats.gridEnergyWh();
     result.utilization = result.mppEnergyWh > 0.0
@@ -576,10 +615,30 @@ simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     result.avgTrackingError = period_errors.value();
     result.transferCount = ats.transferCount();
     result.controllerSteps = tracking ? controller->totalSteps() : 0;
-    if (cfg.stats)
-        foldDayStats(*cfg.stats, result, chip, mpp_cache.stats(),
-                     cache_start);
-    return result;
+    run.instructions = chip.totalInstructions();
+
+    if (obs::StatsRegistry *const reg = cfg.stats) {
+        foldDayStats(*reg, supply == Supply::Battery, result, chip,
+                     mpp_cache.stats(), cache_start);
+        if (buffer) {
+            reg->scalar("battery.deliveredWh",
+                        "energy delivered from the buffer [Wh]") +=
+                buffer->deliveredWh();
+            reg->scalar("battery.lostWh",
+                        "buffer conversion/self-discharge losses [Wh]") +=
+                buffer->lostWh();
+        }
+    }
+    return run;
+}
+
+} // namespace
+
+DayResult
+simulateDay(const pv::PvModule &module, const solar::SolarTrace &trace,
+            workload::WorkloadId workload, const SimConfig &cfg)
+{
+    return runDay(module, trace, workload, cfg, panelSupply(cfg), 0.0).day;
 }
 
 HybridDayResult
@@ -589,203 +648,23 @@ simulateHybridDay(const pv::PvModule &module, const solar::SolarTrace &trace,
 {
     SC_ASSERT(battery_capacity_wh >= 0.0,
               "simulateHybridDay: negative capacity");
+    // A capacity of 0 degenerates to plain simulateDay.
+    const bool buffered = battery_capacity_wh > 0.0;
+    DayRun run = runDay(module, trace, workload, cfg,
+                        buffered ? Supply::Hybrid : panelSupply(cfg),
+                        battery_capacity_wh);
     HybridDayResult result;
+    result.day = std::move(run.day);
     result.batteryCapacityWh = battery_capacity_wh;
-    if (battery_capacity_wh <= 0.0) {
-        result.day = simulateDay(module, trace, workload, cfg);
-        result.greenEnergyWh = result.day.solarEnergyWh;
-        const double total =
-            result.day.solarEnergyWh + result.day.gridEnergyWh;
-        result.greenFraction =
-            total > 0.0 ? result.greenEnergyWh / total : 0.0;
-        return result;
-    }
-
-    SC_PROFILE_SCOPE("day");
-    auto chip = buildChip(workload, cfg);
-    chip.setGatingAllowed(cfg.pcpg);
-    pv::PvArray array(module, cfg.modulesSeries, cfg.modulesParallel,
-                      pv::kStc);
-    std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
-    auto adapter = makeAdapter(cfg.policy == PolicyKind::FixedPower
-                                   ? PolicyKind::MpptOpt
-                                   : cfg.policy);
-    SolarCoreController controller(array, chip, *adapter, cfg.controller);
-    power::TransferSwitch ats(cfg.thresholdW, 0.02 * cfg.thresholdW);
-    power::Battery buffer(battery_capacity_wh, 0.95, 0.90);
-    obs::TraceBuffer *const tbuf = cfg.trace;
-    ats.setTrace(tbuf);
-    buffer.setTrace(tbuf);
-    controller.setTrace(tbuf);
-    DayTelemetry telem(cfg.telemetry, chip);
-    obs::Auditor *const audit = cfg.audit;
-    if (audit)
-        audit->setTrace(tbuf);
-    const pv::MppCache::Stats cache_start = mpp_cache.stats();
-    // Charge-path conversion efficiency of the buffer's own MPPT.
-    constexpr double charge_path_eff = 0.95;
-    // Stable discharge level while bridging sub-threshold periods.
-    const double buffer_budget_w = 2.0 * cfg.thresholdW;
-
-    DayResult &day = result.day;
-    const double dt_min = cfg.dtSeconds / 60.0;
-    const double dt_h = cfg.dtSeconds / 3600.0;
-    double last_track_minute = -1e9;
-    bool was_on_solar = false;
-    std::optional<SimWorkspace> local_ws;
-    SimWorkspace &ws = selectWorkspace(local_ws, cfg);
-    ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
-                      cpu::ThermalModel());
-    std::vector<cpu::ThermalModel> &thermal = ws.thermal;
-
-    // Same batched MPP precompute as simulateDay.
-    stageStepMpps(ws, module, trace, dt_min, mpp_cache);
-    const std::vector<pv::MppResult> &step_mpps = ws.stepMpps;
-    std::size_t step_index = 0;
-
-    chip.setAllLevels(chip.dvfs().maxLevel());
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
-        SC_PROFILE_SCOPE("step");
-        if (tbuf)
-            tbuf->setNow(minute);
-        power::NetworkState step_net;
-        const double g = trace.irradianceAt(minute);
-        const double ambient = trace.ambientAt(minute);
-        array.setEnvironment({g, module.cellTempFromAmbient(ambient, g)});
-        // Mirror simulateDay's thermal handling instead of always using
-        // the ambient proxy, so the rcThermal/pcpg ablations act on the
-        // hybrid extension too.
-        if (cfg.rcThermal)
-            day.thermalThrottles +=
-                stepRcThermal(chip, thermal, ambient, cfg);
-        else
-            setDieTemps(chip, ambient);
-        const pv::MppResult mpp = step_mpps[step_index++];
-        day.mppEnergyWh += mpp.power * dt_h;
-
-        ats.update(mpp.power, cfg.dtSeconds);
-        const bool on_solar = ats.onSolar();
-        bool on_buffer = false;
-
-        if (on_solar) {
-            TrackResult tr;
-            if (!was_on_solar ||
-                minute - last_track_minute >= cfg.trackingPeriodMinutes) {
-                if (tbuf) {
-                    emitRetrack(tbuf,
-                                was_on_solar
-                                    ? obs::RetrackCause::Periodic
-                                    : obs::RetrackCause::SolarEntry,
-                                mpp.power, chip.totalPower());
-                }
-                ++day.retracks;
-                tr = controller.track();
-                last_track_minute = minute;
-            } else {
-                tr = controller.enforceRail();
-            }
-            step_net = tr.net;
-            const double consumed = chip.totalPower();
-            // The tracking margin charges the buffer through its own
-            // MPPT path instead of being left on the panel.
-            const double headroom = std::max(0.0, mpp.power - consumed);
-            buffer.charge(headroom * charge_path_eff, dt_h);
-            day.solarEnergyWh +=
-                (consumed + headroom * charge_path_eff) * dt_h;
-            ats.accountEnergy(consumed, cfg.dtSeconds);
-        } else {
-            // Sub-threshold supply still trickles into the buffer.
-            buffer.charge(mpp.power * charge_path_eff, dt_h);
-            day.solarEnergyWh += mpp.power * charge_path_eff * dt_h;
-
-            const auto alloc = optimizeAllocation(chip, buffer_budget_w);
-            const double want = alloc.feasible ? alloc.powerW : 0.0;
-            if (want > 0.0 && buffer.storedWh() * 0.9 >= want * dt_h) {
-                applyAllocation(chip, alloc);
-                const double delivered =
-                    buffer.discharge(chip.totalPower(), dt_h);
-                result.bufferedWh += delivered;
-                on_buffer = true;
-            } else {
-                chip.setAllLevels(chip.dvfs().maxLevel());
-                ats.accountEnergy(chip.totalPower(), cfg.dtSeconds);
-            }
-        }
-
-        if (telem) {
-            telem.sample(minute, chip, mpp.power,
-                         on_buffer ? buffer_budget_w : mpp.power,
-                         on_solar, step_net.valid ? &step_net : nullptr,
-                         controller.converter().ratio(),
-                         buffer.socFraction());
-        }
-
-        const double instr_before = chip.totalInstructions();
-        {
-            SC_PROFILE_SCOPE("chip.step");
-            chip.step(cfg.dtSeconds);
-        }
-        const double delta = chip.totalInstructions() - instr_before;
-        day.totalInstructions += delta;
-        if (on_solar || on_buffer)
-            day.solarInstructions += delta;
-
-        if (audit) {
-            SC_PROFILE_SCOPE("audit");
-            audit->setNow(minute);
-            audit->countStep();
-            if (on_solar)
-                audit->checkBudget(chip.totalPower(), mpp.power,
-                                   "hybrid solar draw vs MPP budget");
-            else if (on_buffer)
-                audit->checkBudget(chip.totalPower(), buffer_budget_w,
-                                   "buffer draw vs discharge budget");
-            if (step_net.valid) {
-                audit->checkRailVoltage(step_net.load.voltage,
-                                        cfg.controller.railNominalV,
-                                        "converter rail vs nominal");
-                audit->checkPanelPoint(
-                    step_net.panel.current,
-                    array.currentAt(step_net.panel.voltage),
-                    array.currentAt(0.0),
-                    "solved panel point vs I-V curve");
-            }
-            audit->checkSocRange(buffer.socFraction(),
-                                 "buffer state of charge");
-            auditChipState(*audit, chip);
-        }
-        was_on_solar = on_solar;
-    }
-
-    if (audit) {
-        audit->setNow(trace.endMinute());
-        audit->checkEnergyBalance(buffer.absorbedWh(), buffer.storedWh(),
-                                  buffer.deliveredWh(), buffer.lostWh(),
-                                  "battery ledger closure");
-    }
-
-    day.gridEnergyWh = ats.gridEnergyWh();
-    day.chipEnergyWh = chip.totalEnergy() / 3600.0;
-    day.utilization = day.mppEnergyWh > 0.0
-        ? std::min(1.0, day.solarEnergyWh / day.mppEnergyWh)
-        : 0.0;
-    day.transferCount = ats.transferCount();
-    result.greenEnergyWh = day.chipEnergyWh - day.gridEnergyWh;
-    const double total_energy = day.chipEnergyWh;
-    result.greenFraction =
-        total_energy > 0.0 ? result.greenEnergyWh / total_energy : 0.0;
-    if (cfg.stats) {
-        foldDayStats(*cfg.stats, day, chip, mpp_cache.stats(),
-                     cache_start);
-        cfg.stats->scalar("battery.deliveredWh",
-                          "energy delivered from the buffer [Wh]") +=
-            buffer.deliveredWh();
-        cfg.stats->scalar("battery.lostWh",
-                          "buffer conversion/self-discharge losses "
-                          "[Wh]") += buffer.lostWh();
-    }
+    result.bufferedWh = run.bufferedWh;
+    // Green energy: the panel draw alone, or with a buffer everything
+    // the utility did not supply.
+    const DayResult &day = result.day;
+    result.greenEnergyWh = buffered ? day.chipEnergyWh - day.gridEnergyWh
+                                    : day.solarEnergyWh;
+    const double total = buffered ? day.chipEnergyWh
+                                  : day.solarEnergyWh + day.gridEnergyWh;
+    result.greenFraction = total > 0.0 ? result.greenEnergyWh / total : 0.0;
     return result;
 }
 
@@ -797,105 +676,17 @@ simulateBatteryDay(const pv::PvModule &module,
 {
     SC_ASSERT(derating_factor > 0.0 && derating_factor <= 1.0,
               "simulateBatteryDay: bad de-rating factor");
-    SC_PROFILE_SCOPE("day");
+    const DayRun run = runDay(module, trace, workload, cfg,
+                              Supply::Battery, derating_factor);
     BatteryDayResult result;
     result.deratingFactor = derating_factor;
-
-    // Pass 1: harvestable energy at the MPP over the day. The memo
-    // makes repeated passes over one trace (the de-rating sweeps rerun
-    // this identical sequence per factor) near-free after the first.
-    std::optional<pv::MppCache> local_cache;
-    pv::MppCache &mpp_cache = selectMppCache(local_cache, module, cfg);
-    const pv::MppCache::Stats cache_start = mpp_cache.stats();
-    const double dt_min = cfg.dtSeconds / 60.0;
-    {
-        // Pass 1 is a pure reduction over the trace: gather the step
-        // environments and fold the batched MPP powers.
-        std::optional<SimWorkspace> local_ws;
-        SimWorkspace &ws = selectWorkspace(local_ws, cfg);
-        stageStepMpps(ws, module, trace, dt_min, mpp_cache);
-        for (const pv::MppResult &mpp : ws.stepMpps)
-            result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
-    }
-
-    // Stable delivery level over the full daytime window.
-    const double day_hours =
-        (trace.endMinute() - trace.startMinute()) / 60.0;
-    result.budgetW = derating_factor * result.mppEnergyWh / day_hours;
-
-    // Pass 2: run the chip at that constant budget, re-allocating at
-    // each tracking period to follow workload phases.
-    auto chip = buildChip(workload, cfg);
-    DayTelemetry telem(cfg.telemetry, chip);
-    obs::Auditor *const audit = cfg.audit;
-    if (audit)
-        audit->setTrace(cfg.trace);
-    double last_alloc_minute = -1e9;
-    for (double minute = trace.startMinute(); minute <= trace.endMinute();
-         minute += dt_min) {
-        SC_PROFILE_SCOPE("step");
-        if (cfg.trace)
-            cfg.trace->setNow(minute);
-        setDieTemps(chip, trace.ambientAt(minute));
-        if (minute - last_alloc_minute >= cfg.trackingPeriodMinutes ||
-            chip.totalPower() > result.budgetW) {
-            if (cfg.trace) {
-                emitRetrack(cfg.trace,
-                            minute - last_alloc_minute >=
-                                    cfg.trackingPeriodMinutes
-                                ? obs::RetrackCause::Periodic
-                                : obs::RetrackCause::DemandDelta,
-                            result.budgetW, chip.totalPower());
-            }
-            const auto alloc = optimizeAllocation(chip, result.budgetW);
-            if (alloc.feasible)
-                applyAllocation(chip, alloc);
-            else
-                chip.gateAll();
-            last_alloc_minute = minute;
-        }
-        if (telem) {
-            telem.sample(minute, chip, std::nan(""), result.budgetW,
-                         true, nullptr, std::nan(""), std::nan(""));
-        }
-        if (audit) {
-            SC_PROFILE_SCOPE("audit");
-            audit->setNow(minute);
-            audit->countStep();
-            audit->checkBudget(chip.totalPower(), result.budgetW,
-                               "battery baseline draw vs stable budget");
-            auditChipState(*audit, chip);
-        }
-        result.consumedWh += chip.totalPower() * cfg.dtSeconds / 3600.0;
-        {
-            SC_PROFILE_SCOPE("chip.step");
-            chip.step(cfg.dtSeconds);
-        }
-    }
-    result.instructions = chip.totalInstructions();
+    result.budgetW = run.budgetW;
+    result.instructions = run.instructions;
+    result.mppEnergyWh = run.day.mppEnergyWh;
+    result.consumedWh = run.day.solarEnergyWh;
     result.utilization = result.mppEnergyWh > 0.0
         ? result.consumedWh / result.mppEnergyWh
         : 0.0;
-    if (cfg.stats) {
-        auto &reg = *cfg.stats;
-        ++reg.scalar("sim.batteryDays",
-                     "battery-baseline days folded into this registry");
-        reg.scalar("sim.mppEnergyWh", "theoretical MPP energy [Wh]") +=
-            result.mppEnergyWh;
-        reg.scalar("sim.chipEnergyWh", "energy the chip consumed [Wh]") +=
-            result.consumedWh;
-        reg.scalar("sim.totalInstructions",
-                   "instructions retired in total") += result.instructions;
-        const auto cache_now = mpp_cache.stats();
-        reg.scalar("pv.mppCache.hits", "MPP memo hits") +=
-            static_cast<double>(cache_now.hits - cache_start.hits);
-        reg.scalar("pv.mppCache.misses",
-                   "MPP memo misses (full solves)") +=
-            static_cast<double>(cache_now.misses - cache_start.misses);
-        reg.formula("pv.mppCache.hitRate",
-                    dayFormulaByName("pv.mppCache.hitRate"),
-                    "hit fraction of MPP memo lookups");
-    }
     return result;
 }
 
