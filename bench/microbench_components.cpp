@@ -99,20 +99,6 @@ BM_FindMppCached(benchmark::State &state)
 BENCHMARK(BM_FindMppCached);
 
 void
-BM_MppGridRefined(benchmark::State &state)
-{
-    const auto &module = bench::standardModule();
-    const pv::MppGrid grid(module, 1, 1, 50.0, 1000.0, 20, -10.0, 75.0,
-                           18);
-    double g = 100.0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(grid.refined({g, 25.0 + g * 0.02}));
-        g = g < 950.0 ? g + 37.0 : 100.0;
-    }
-}
-BENCHMARK(BM_MppGridRefined);
-
-void
 BM_PinRailVoltage(benchmark::State &state)
 {
     const auto &module = bench::standardModule();

@@ -1,13 +1,11 @@
 #include "mpp_cache.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "obs/profiler.hpp"
 #include "pv/pv_kernel.hpp"
 #include "util/logging.hpp"
-#include "util/math.hpp"
 
 namespace solarcore::pv {
 
@@ -157,90 +155,6 @@ MppCache::clear()
 {
     memo_.clear();
     stats_ = Stats{};
-}
-
-MppGrid::MppGrid(const PvModule &module, int modules_series,
-                 int modules_parallel, double g_min, double g_max,
-                 int g_steps, double t_min, double t_max, int t_steps)
-    : module_(module), modulesSeries_(modules_series),
-      modulesParallel_(modules_parallel), gMin_(g_min), gMax_(g_max),
-      tMin_(t_min), tMax_(t_max), gSteps_(g_steps), tSteps_(t_steps)
-{
-    SC_ASSERT(g_steps >= 2 && t_steps >= 2, "MppGrid: need a 2x2 grid");
-    SC_ASSERT(g_max > g_min && t_max > t_min, "MppGrid: empty ranges");
-    table_.resize(static_cast<std::size_t>(g_steps) *
-                  static_cast<std::size_t>(t_steps));
-    PvArray array(module, modules_series, modules_parallel, kStc);
-    for (int gi = 0; gi < g_steps; ++gi) {
-        const double g = lerp(gMin_, gMax_,
-                              static_cast<double>(gi) / (g_steps - 1));
-        for (int ti = 0; ti < t_steps; ++ti) {
-            const double t = lerp(tMin_, tMax_,
-                                  static_cast<double>(ti) / (t_steps - 1));
-            array.setEnvironment({g, t});
-            table_[static_cast<std::size_t>(gi) *
-                       static_cast<std::size_t>(t_steps) +
-                   static_cast<std::size_t>(ti)] = findMpp(array);
-        }
-    }
-}
-
-MppResult
-MppGrid::at(int gi, int ti) const
-{
-    return table_[static_cast<std::size_t>(gi) *
-                      static_cast<std::size_t>(tSteps_) +
-                  static_cast<std::size_t>(ti)];
-}
-
-MppResult
-MppGrid::interpolate(const Environment &env) const
-{
-    if (env.irradiance <= 0.0)
-        return MppResult{};
-
-    const double gf = clamp((env.irradiance - gMin_) / (gMax_ - gMin_),
-                            0.0, 1.0) * (gSteps_ - 1);
-    const double tf = clamp((env.cellTempC - tMin_) / (tMax_ - tMin_),
-                            0.0, 1.0) * (tSteps_ - 1);
-    const int gi = std::min(static_cast<int>(gf), gSteps_ - 2);
-    const int ti = std::min(static_cast<int>(tf), tSteps_ - 2);
-    const double gu = gf - gi;
-    const double tu = tf - ti;
-
-    auto blend = [&](auto select) {
-        const double a = lerp(select(at(gi, ti)), select(at(gi + 1, ti)), gu);
-        const double b =
-            lerp(select(at(gi, ti + 1)), select(at(gi + 1, ti + 1)), gu);
-        return lerp(a, b, tu);
-    };
-    MppResult res;
-    res.voltage = blend([](const MppResult &m) { return m.voltage; });
-    res.current = blend([](const MppResult &m) { return m.current; });
-    res.power = blend([](const MppResult &m) { return m.power; });
-    return res;
-}
-
-MppResult
-MppGrid::refined(const Environment &env) const
-{
-    if (env.irradiance <= 0.0)
-        return MppResult{};
-
-    const MppResult seed = interpolate(env);
-    const SolarCell &cell = module_.cell();
-    const double v_scale =
-        static_cast<double>(module_.cellsSeries() * modulesSeries_);
-    const double i_scale =
-        static_cast<double>(module_.stringsParallel() * modulesParallel_);
-    const double v_cell =
-        cell.refineMppVoltage(seed.voltage / v_scale, env, /*iters=*/12);
-
-    MppResult res;
-    res.voltage = v_cell * v_scale;
-    res.current = std::max(0.0, cell.currentAt(v_cell, env)) * i_scale;
-    res.power = res.voltage * res.current;
-    return res;
 }
 
 } // namespace solarcore::pv

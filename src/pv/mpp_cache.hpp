@@ -5,10 +5,7 @@
  * The figure sweeps replay the same irradiance/temperature trace for
  * many workloads and budgets, so the per-timestep findMpp calls repeat
  * identical (G, T) environments tens of times. MppCache memoizes the
- * analytic MPP per (optionally quantized) environment key; MppGrid
- * additionally precomputes a small bilinear (G, T) grid whose
- * interpolant, polished by the cell's analytic Newton refinement,
- * answers arbitrary conditions without a full solve.
+ * analytic MPP per (optionally quantized) environment key.
  */
 
 #ifndef SOLARCORE_PV_MPP_CACHE_HPP
@@ -110,43 +107,6 @@ class MppCache
     double tQuantum_;
     std::unordered_map<Key, MppResult, KeyHash> memo_;
     Stats stats_;
-};
-
-/**
- * Precomputed bilinear MPP surface over a (G, T) rectangle.
- *
- * interpolate() answers in a handful of flops with the bilinear error
- * of the grid pitch; refined() polishes the interpolated voltage with
- * the cell's analytic Newton steps, recovering the exact MPP at about
- * a third of the cost of a cold solve. Immutable after construction,
- * hence freely shared across threads.
- */
-class MppGrid
-{
-  public:
-    MppGrid(const PvModule &module, int modules_series,
-            int modules_parallel, double g_min, double g_max, int g_steps,
-            double t_min, double t_max, int t_steps);
-
-    /** Bilinear interpolation of the precomputed MPP surface. */
-    MppResult interpolate(const Environment &env) const;
-
-    /** Interpolated voltage polished to the exact MPP analytically. */
-    MppResult refined(const Environment &env) const;
-
-    int gSteps() const { return gSteps_; }
-    int tSteps() const { return tSteps_; }
-
-  private:
-    MppResult at(int gi, int ti) const;
-
-    PvModule module_;
-    int modulesSeries_;
-    int modulesParallel_;
-    double gMin_, gMax_;
-    double tMin_, tMax_;
-    int gSteps_, tSteps_;
-    std::vector<MppResult> table_; //!< row-major [g][t]
 };
 
 } // namespace solarcore::pv

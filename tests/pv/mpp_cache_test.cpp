@@ -264,56 +264,5 @@ TEST(MppCache, LookupBatchConcurrentShardsMatchSequentialStats)
     }
 }
 
-TEST(MppGrid, InterpolationIsExactOnGridNodes)
-{
-    MppGrid grid(testModule(), 1, 1, 100.0, 1000.0, 10, -10.0, 75.0, 9);
-    PvArray array(testModule(), 1, 1, {100.0, -10.0});
-    const auto direct = findMpp(array);
-    const auto interp = grid.interpolate({100.0, -10.0});
-    EXPECT_NEAR(interp.power, direct.power, 1e-9 * direct.power);
-}
-
-TEST(MppGrid, InterpolationErrorIsSmallBetweenNodes)
-{
-    MppGrid grid(testModule(), 1, 1, 100.0, 1000.0, 19, -10.0, 75.0, 18);
-    PvArray array(testModule(), 1, 1, kStc);
-    for (double g : {130.0, 475.0, 910.0}) {
-        for (double t : {-3.0, 33.0, 68.0}) {
-            array.setEnvironment({g, t});
-            const auto direct = findMpp(array);
-            const auto interp = grid.interpolate({g, t});
-            // Bilinear on a ~50 W/m^2 x 5 C pitch: sub-percent power.
-            EXPECT_NEAR(interp.power, direct.power, 0.01 * direct.power)
-                << g << " " << t;
-        }
-    }
-}
-
-TEST(MppGrid, RefinementRecoversTheExactMpp)
-{
-    MppGrid grid(testModule(), 1, 1, 100.0, 1000.0, 10, -10.0, 75.0, 9);
-    PvArray array(testModule(), 1, 1, kStc);
-    for (double g : {130.0, 475.0, 910.0}) {
-        for (double t : {-3.0, 33.0, 68.0}) {
-            array.setEnvironment({g, t});
-            const auto direct = findMpp(array);
-            const auto refined = grid.refined({g, t});
-            EXPECT_NEAR(refined.power, direct.power,
-                        1e-9 * (1.0 + direct.power))
-                << g << " " << t;
-            EXPECT_NEAR(refined.voltage, direct.voltage,
-                        1e-6 * (1.0 + direct.voltage))
-                << g << " " << t;
-        }
-    }
-}
-
-TEST(MppGrid, DarkEnvironmentIsZero)
-{
-    MppGrid grid(testModule(), 1, 1, 100.0, 1000.0, 4, -10.0, 75.0, 4);
-    const auto mpp = grid.refined({0.0, 25.0});
-    EXPECT_EQ(mpp.power, 0.0);
-}
-
 } // namespace
 } // namespace solarcore::pv
