@@ -7,6 +7,12 @@
  * effective operation duration, performance-time product (PTP) and
  * relative MPP tracking error -- plus an optional per-minute timeline
  * for the Figure 13/14 reproductions.
+ *
+ * simulateDay, simulateHybridDay and simulateBatteryDay are thin
+ * wrappers over one step loop; they differ only in where the chip's
+ * power comes from (MPPT-tracked or fixed-budget panel, the battery
+ * baseline's stable budget, or the tracked panel plus a storage
+ * buffer) and in the result they report.
  */
 
 #ifndef SOLARCORE_CORE_SIMULATION_HPP
@@ -34,15 +40,15 @@ class TraceBuffer;
 namespace solarcore::core {
 
 /**
- * Reusable scratch buffers for the day drivers. Each simulateDay /
+ * Reusable scratch buffers for the day loop. Each simulateDay /
  * simulateHybridDay / simulateBatteryDay call needs a per-step
  * environment/MPP staging area and one thermal model per core; with a
  * caller-owned workspace those buffers keep their capacity across
  * days, so a sweep over many units allocates only on its first day
- * (and on trace-length growth). The drivers reset the *contents*
- * every call -- a workspace carries no state between days, only
- * capacity -- which is what keeps results bit-identical with and
- * without one. Not thread-safe: one per worker, like MppCache.
+ * (and on trace-length growth). The loop resets the *contents* every
+ * call -- a workspace carries no state between days, only capacity --
+ * which is what keeps results bit-identical with and without one. Not
+ * thread-safe: one per worker, like MppCache.
  */
 struct SimWorkspace
 {
@@ -138,9 +144,9 @@ struct SimConfig
                                        //!< reference, converter ratio,
                                        //!< rail voltage, chip power vs
                                        //!< budget, battery SoC, per-
-                                       //!< core f/V/P/IPC/TPR); all
-                                       //!< three day drivers register
-                                       //!< the same schema so per-unit
+                                       //!< core f/V/P/IPC/TPR); every
+                                       //!< supply registers the same
+                                       //!< schema so per-unit
                                        //!< recorders concatenate.
     obs::Auditor *audit = nullptr;     //!< borrowed invariant auditor;
                                        //!< when set, every step checks

@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime invariant auditor: physical sanity checks evaluated every
- * simulation step by the day drivers.
+ * simulation step by the day loop.
  *
  * The auditor itself is deliberately dumb about the physics -- each
  * check takes the already-measured quantities (the caller owns the

@@ -5,7 +5,7 @@
  * A TelemetryRecorder holds a set of named, typed, pre-registered
  * channels (panel power/voltage/current, MPP reference, converter
  * ratio, rail voltage, per-core frequency/voltage/power/IPC/TPR, chip
- * power vs. budget, battery state of charge). The day drivers sample
+ * power vs. budget, battery state of charge). The day loop samples
  * every channel once per simulation step:
  *
  *   rec.beginStep(minute);
@@ -120,8 +120,8 @@ class TelemetryRecorder
     /**
      * Concatenate @p recorders (task-index order) into one CSV with a
      * leading "unit" column. All recorders must share the schema of
-     * the first; a campaign guarantees this by registering the same
-     * channel superset in every day driver.
+     * the first; a campaign guarantees this because the day loop
+     * registers the same channel superset for every supply.
      */
     static void
     writeCsvConcat(const std::vector<TelemetryRecorder *> &recorders,
