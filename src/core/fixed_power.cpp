@@ -1,5 +1,6 @@
 #include "fixed_power.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,18 +19,29 @@ struct Choice
     double throughput = 0.0;
 };
 
-std::vector<Choice>
-coreChoices(const cpu::MultiCoreChip &chip, int index)
+/** Choices per core: every DVFS level, plus gating if PCPG allows it. */
+int
+choicesPerCore(const cpu::MultiCoreChip &chip)
 {
-    std::vector<Choice> out;
+    return chip.dvfs().numLevels() + (chip.gatingAllowed() ? 1 : 0);
+}
+
+/** Append core @p index's choices: gated first (if allowed), then the
+ *  DVFS levels in ascending order. */
+void
+appendCoreChoices(const cpu::MultiCoreChip &chip, int index,
+                  std::vector<Choice> &out)
+{
     const auto &table = chip.dvfs();
     const cpu::Core &c = chip.core(index);
 
-    Choice gated;
-    gated.setting = {table.minLevel(), true};
-    gated.powerW = chip.powerModel().gatedPower().totalW();
-    gated.throughput = 0.0;
-    out.push_back(gated);
+    if (chip.gatingAllowed()) {
+        Choice gated;
+        gated.setting = {table.minLevel(), true};
+        gated.powerW = chip.powerModel().gatedPower().totalW();
+        gated.throughput = 0.0;
+        out.push_back(gated);
+    }
 
     for (int l = table.minLevel(); l <= table.maxLevel(); ++l) {
         Choice ch;
@@ -38,8 +50,29 @@ coreChoices(const cpu::MultiCoreChip &chip, int index)
         ch.throughput = c.throughputAtLevel(l);
         out.push_back(ch);
     }
-    return out;
 }
+
+/**
+ * A DP state: best throughput @c t at grid cost @c u, reached from
+ * state @c parent of the previous core by choice @c choice.
+ */
+struct State
+{
+    int u = 0;
+    int parent = -1;
+    int choice = -1;
+    double t = 0.0;
+};
+
+/** Buffers reused across calls; one set per thread. */
+struct Scratch
+{
+    std::vector<Choice> choices; //!< numCores x choicesPerCore, by core
+    std::vector<int> costs;      //!< grid cost of each choice
+    std::vector<State> states;   //!< every core's frontier, in order
+    std::vector<double> rowT;    //!< dense expansion row: best throughput
+    std::vector<int> rowFrom;    //!< and its argmax, state * k + choice
+};
 
 } // namespace
 
@@ -60,77 +93,90 @@ optimizeAllocation(const cpu::MultiCoreChip &chip, double budget_w,
         return res;
 
     constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    thread_local Scratch s;
 
-    // dp[u]: best throughput with the cores processed so far consuming
-    // at most u power units; choice[i][u] reconstructs the argmax.
-    std::vector<double> dp(static_cast<std::size_t>(budget_units) + 1,
-                           kNegInf);
-    dp[0] = 0.0;
-    std::vector<std::vector<int>> choice_at(
-        static_cast<std::size_t>(n),
-        std::vector<int>(static_cast<std::size_t>(budget_units) + 1, -1));
-    std::vector<std::vector<Choice>> choices;
-    choices.reserve(static_cast<std::size_t>(n));
+    const int k = choicesPerCore(chip);
+    s.choices.clear();
     for (int i = 0; i < n; ++i)
-        choices.push_back(coreChoices(chip, i));
+        appendCoreChoices(chip, i, s.choices);
+    s.costs.resize(s.choices.size());
+    for (std::size_t j = 0; j < s.choices.size(); ++j)
+        // Round power up so the grid never under-counts.
+        s.costs[j] = static_cast<int>(
+            std::ceil(s.choices[j].powerW / power_res_w - 1e-12));
+    const auto cells = static_cast<std::size_t>(budget_units) + 1;
+    if (s.rowT.size() < cells) {
+        s.rowT.resize(cells);
+        s.rowFrom.resize(cells);
+    }
 
+    // The frontier [lo, hi) of s.states holds the cores processed so
+    // far: one state per cost whose throughput beats every cheaper one.
+    s.states.clear();
+    s.states.push_back(State{});
+    std::size_t lo = 0;
+    std::size_t hi = 1;
     for (int i = 0; i < n; ++i) {
-        std::vector<double> next(dp.size(), kNegInf);
-        for (int u = 0; u <= budget_units; ++u) {
-            if (dp[static_cast<std::size_t>(u)] == kNegInf)
-                continue;
-            for (std::size_t c = 0; c < choices[i].size(); ++c) {
-                const auto &ch = choices[static_cast<std::size_t>(i)][c];
-                // Round power up so the grid never under-counts.
-                const int cost = static_cast<int>(
-                    std::ceil(ch.powerW / power_res_w - 1e-12));
-                const int u2 = u + cost;
+        const std::size_t base = static_cast<std::size_t>(i * k);
+        int min_cost = s.costs[base];
+        int max_cost = s.costs[base];
+        for (int c = 1; c < k; ++c) {
+            min_cost = std::min(min_cost, s.costs[base + c]);
+            max_cost = std::max(max_cost, s.costs[base + c]);
+        }
+        const int first = s.states[lo].u + min_cost;
+        if (first > budget_units)
+            return res; // even the cheapest choices do not fit
+        const int last =
+            std::min(budget_units, s.states[hi - 1].u + max_cost);
+        std::fill(s.rowT.begin() + first, s.rowT.begin() + last + 1,
+                  kNegInf);
+
+        // Expand in (state, choice) order; the strict '>' keeps the
+        // first of equal candidates, as a dense DP over every cost.
+        for (std::size_t st = lo; st < hi; ++st) {
+            const State from = s.states[st];
+            for (int c = 0; c < k; ++c) {
+                const int u2 = from.u + s.costs[base + c];
                 if (u2 > budget_units)
                     continue;
-                const double t =
-                    dp[static_cast<std::size_t>(u)] + ch.throughput;
-                if (t > next[static_cast<std::size_t>(u2)]) {
-                    next[static_cast<std::size_t>(u2)] = t;
-                    choice_at[static_cast<std::size_t>(i)]
-                             [static_cast<std::size_t>(u2)] =
-                                 static_cast<int>(c);
+                const double t = from.t + s.choices[base + c].throughput;
+                if (t > s.rowT[static_cast<std::size_t>(u2)]) {
+                    s.rowT[static_cast<std::size_t>(u2)] = t;
+                    s.rowFrom[static_cast<std::size_t>(u2)] =
+                        static_cast<int>(st) * k + c;
                 }
             }
         }
-        dp.swap(next);
-    }
 
-    // Best end state.
-    int best_u = -1;
-    double best_t = kNegInf;
-    for (int u = 0; u <= budget_units; ++u) {
-        if (dp[static_cast<std::size_t>(u)] > best_t) {
-            best_t = dp[static_cast<std::size_t>(u)];
-            best_u = u;
+        // Keep the costs whose throughput beats every cheaper cost.
+        lo = s.states.size();
+        double best = kNegInf;
+        for (int u = first; u <= last; ++u) {
+            const double t = s.rowT[static_cast<std::size_t>(u)];
+            if (t > best) {
+                best = t;
+                const int from = s.rowFrom[static_cast<std::size_t>(u)];
+                s.states.push_back(State{u, from / k, from % k, t});
+            }
         }
+        hi = s.states.size();
     }
-    if (best_u < 0 || best_t == kNegInf)
-        return res; // even all-gated does not fit
 
-    // Walk the choices backwards. choice_at[i][u] was only recorded for
-    // the u that the dp actually reached, so recompute by re-running
-    // the backward reconstruction.
+    // The best end state is the cheapest with the highest throughput:
+    // the frontier's last. Walk its parents back to the first core.
     res.settings.resize(static_cast<std::size_t>(n));
-    int u = best_u;
+    std::size_t st = hi - 1;
     for (int i = n - 1; i >= 0; --i) {
-        const int c = choice_at[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(u)];
-        SC_ASSERT(c >= 0, "optimizeAllocation: broken DP path");
-        const auto &ch =
-            choices[static_cast<std::size_t>(i)][static_cast<std::size_t>(c)];
+        const State &state = s.states[st];
+        const Choice &ch = s.choices[static_cast<std::size_t>(i * k +
+                                                              state.choice)];
         res.settings[static_cast<std::size_t>(i)] = ch.setting;
         res.powerW += ch.powerW;
         res.throughput += ch.throughput;
-        const int cost =
-            static_cast<int>(std::ceil(ch.powerW / power_res_w - 1e-12));
-        u -= cost;
+        st = static_cast<std::size_t>(state.parent);
     }
-    SC_ASSERT(u >= 0, "optimizeAllocation: negative residual budget");
+    SC_ASSERT(st == 0, "optimizeAllocation: broken DP path");
     res.feasible = true;
     return res;
 }
@@ -140,19 +186,17 @@ bruteForceAllocation(const cpu::MultiCoreChip &chip, double budget_w)
 {
     AllocationResult best;
     const int n = chip.numCores();
-    std::vector<std::vector<Choice>> choices;
-    choices.reserve(static_cast<std::size_t>(n));
+    const std::size_t k = static_cast<std::size_t>(choicesPerCore(chip));
+    std::vector<Choice> choices;
     for (int i = 0; i < n; ++i)
-        choices.push_back(coreChoices(chip, i));
+        appendCoreChoices(chip, i, choices);
 
     std::vector<std::size_t> pick(static_cast<std::size_t>(n), 0);
     while (true) {
         double p = 0.0;
         double t = 0.0;
-        for (int i = 0; i < n; ++i) {
-            const auto &ch =
-                choices[static_cast<std::size_t>(i)][pick[
-                    static_cast<std::size_t>(i)]];
+        for (std::size_t i = 0; i < pick.size(); ++i) {
+            const auto &ch = choices[i * k + pick[i]];
             p += ch.powerW;
             t += ch.throughput;
         }
@@ -161,20 +205,17 @@ bruteForceAllocation(const cpu::MultiCoreChip &chip, double budget_w)
             best.powerW = p;
             best.throughput = t;
             best.settings.clear();
-            for (int i = 0; i < n; ++i)
-                best.settings.push_back(
-                    choices[static_cast<std::size_t>(i)]
-                           [pick[static_cast<std::size_t>(i)]].setting);
+            for (std::size_t i = 0; i < pick.size(); ++i)
+                best.settings.push_back(choices[i * k + pick[i]].setting);
         }
         // Odometer increment.
-        int i = 0;
-        for (; i < n; ++i) {
-            auto &d = pick[static_cast<std::size_t>(i)];
-            if (++d < choices[static_cast<std::size_t>(i)].size())
+        std::size_t i = 0;
+        for (; i < pick.size(); ++i) {
+            if (++pick[i] < k)
                 break;
-            d = 0;
+            pick[i] = 0;
         }
-        if (i == n)
+        if (i == pick.size())
             break;
     }
     return best;

@@ -460,6 +460,7 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                         cfg.retrackDemandDelta * last_track_demand
                 : chip.totalPower() > budget_w;
             TrackResult tr;
+            bool viable = true;
             if (!was_on_solar || due || supply_moved || demand_moved) {
                 if (tbuf) {
                     obs::TraceEvent e;
@@ -479,23 +480,28 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                 last_track_minute = minute;
                 if (tracking) {
                     tr = controller->track();
+                    viable = tr.solarViable;
                     last_track_budget = mpp.power;
                     last_track_demand = chip.totalPower();
                 } else {
                     const auto alloc = optimizeAllocation(chip, budget_w);
                     if (alloc.feasible)
                         applyAllocation(chip, alloc);
+                    else if (chip.gatingAllowed())
+                        chip.gateAll(); // the chip's lowest draw
                     else
-                        chip.gateAll();
+                        viable = false;
                 }
             } else if (tracking) {
                 tr = controller->enforceRail();
+                viable = tr.solarViable;
             }
             step_net = tr.net;
-            if (tracking && !tr.solarViable) {
+            if (!viable) {
                 // Even the minimum sheddable load exceeds what the
-                // panel can carry (possible with PCPG disabled): fail
-                // over to the utility before the rail collapses.
+                // supply can carry (possible with PCPG disabled): fail
+                // over to the utility before the rail collapses. The
+                // battery's switch takes no updates, so it stays there.
                 ats.force(power::PowerSource::Grid);
                 chip.setAllLevels(chip.dvfs().maxLevel());
                 on_solar = false;
