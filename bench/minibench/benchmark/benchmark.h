@@ -58,12 +58,17 @@ class State
         : maxIterations_(max_iterations), args_(std::move(args))
     {}
 
+    /** What `for (auto _ : state)` binds: an empty type marked
+     *  unused, so the loop variable draws no -Wunused-variable. */
+    struct [[maybe_unused]] Value
+    {};
+
     struct StateIterator
     {
         State *parent;
         std::int64_t remaining;
 
-        int operator*() const { return 0; }
+        Value operator*() const { return {}; }
         StateIterator &operator++()
         {
             --remaining;

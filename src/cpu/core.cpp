@@ -14,6 +14,10 @@ Core::Core(int id, const DvfsTable &table, const PerfModel &perf,
       profile_(std::move(profile)), level_(table.maxLevel())
 {
     SC_ASSERT(!profile_.phases.empty(), "Core: benchmark has no phases");
+    SC_ASSERT(table.numLevels() <= 64,
+              "Core: the estimate cache's valid mask holds 64 levels, got ",
+              table.numLevels());
+    estimates_.resize(static_cast<std::size_t>(table.numLevels()));
 
     // Jitter phase durations +-20% and start at a random point of the
     // playback so co-scheduled copies of one program decorrelate.
@@ -50,10 +54,23 @@ Core::currentPhase() const
     return profile_.phases[phaseIndex_];
 }
 
-PerfEstimate
-Core::perfAtLevel(int level) const
+const Core::LevelEstimate &
+Core::estimate(int level) const
 {
-    return perfModel_->evaluate(currentPhase(), table_->frequency(level));
+    SC_ASSERT(level >= 0 && level < table_->numLevels(),
+              "Core: level out of range: ", level);
+    LevelEstimate &e = estimates_[static_cast<std::size_t>(level)];
+    const std::uint64_t bit = std::uint64_t{1} << level;
+    if (!(valid_ & bit)) {
+        const double f = table_->frequency(level);
+        e.perf = perfModel_->evaluate(currentPhase(), f);
+        e.power = powerModel_->evaluate(currentPhase(), e.perf,
+                                        table_->voltage(level), f,
+                                        dieTempC_);
+        e.throughput = e.perf.throughput(f);
+        valid_ |= bit;
+    }
+    return e;
 }
 
 PerfEstimate
@@ -61,7 +78,7 @@ Core::perf() const
 {
     if (gated_)
         return PerfEstimate{};
-    return perfAtLevel(level_);
+    return estimate(level_).perf;
 }
 
 PowerEstimate
@@ -69,9 +86,7 @@ Core::power() const
 {
     if (gated_)
         return powerModel_->gatedPower();
-    return powerModel_->evaluate(currentPhase(), perfAtLevel(level_),
-                                 table_->voltage(level_),
-                                 table_->frequency(level_), dieTempC_);
+    return estimate(level_).power;
 }
 
 double
@@ -79,23 +94,19 @@ Core::throughput() const
 {
     if (gated_)
         return 0.0;
-    return perfAtLevel(level_).throughput(table_->frequency(level_));
+    return estimate(level_).throughput;
 }
 
 double
 Core::powerAtLevel(int level) const
 {
-    return powerModel_
-        ->evaluate(currentPhase(), perfAtLevel(level),
-                   table_->voltage(level), table_->frequency(level),
-                   dieTempC_)
-        .totalW();
+    return estimate(level).power.totalW();
 }
 
 double
 Core::throughputAtLevel(int level) const
 {
-    return perfAtLevel(level).throughput(table_->frequency(level));
+    return estimate(level).throughput;
 }
 
 void
@@ -107,8 +118,9 @@ Core::step(double seconds)
         const double in_phase =
             std::min(remaining, phaseDur_[phaseIndex_] - phaseElapsed_);
         if (!gated_) {
-            instructions_ += throughput() * in_phase;
-            energy_ += power().totalW() * in_phase;
+            const LevelEstimate &e = estimate(level_);
+            instructions_ += e.throughput * in_phase;
+            energy_ += e.power.totalW() * in_phase;
         } else {
             energy_ += powerModel_->gatedPower().totalW() * in_phase;
         }
@@ -117,6 +129,7 @@ Core::step(double seconds)
         if (phaseElapsed_ >= phaseDur_[phaseIndex_] - 1e-12) {
             phaseElapsed_ = 0.0;
             phaseIndex_ = (phaseIndex_ + 1) % phaseDur_.size();
+            valid_ = 0;
         }
     }
 }
@@ -128,6 +141,8 @@ Core::swapWorkloads(Core &a, Core &b)
     std::swap(a.phaseDur_, b.phaseDur_);
     std::swap(a.phaseIndex_, b.phaseIndex_);
     std::swap(a.phaseElapsed_, b.phaseElapsed_);
+    a.valid_ = 0;
+    b.valid_ = 0;
 }
 
 } // namespace solarcore::cpu

@@ -5,12 +5,33 @@
  * the power-management policies use to evaluate "what would this core
  * consume / deliver at level L" (the throughput-power ratio inputs of
  * paper Section 4.3).
+ *
+ * Estimate cache. An estimate depends only on (phase, level, die
+ * temperature), yet the controller asks for it many times per step:
+ * every totalPower() of a sustainability check, every TPR candidate,
+ * every allocator choice. So each core keeps a lazily filled per-level
+ * table of (PerfEstimate, PowerEstimate, throughput) for its current
+ * phase and die temperature; a level is evaluated on first use, with
+ * one perf evaluation shared by its power and its throughput. The
+ * table is sized once, at construction, and cleared only when an
+ * input changes: a phase advance inside step(), setDieTempC() with a
+ * different value, and swapWorkloads() (both cores). setLevel() and
+ * setGated() leave it alone -- they only pick which entry the
+ * current-state accessors read. Cached values come from the same pure
+ * model calls, so every result is bit-identical to an uncached
+ * evaluation.
+ *
+ * Thread safety: the const accessors fill the cache, so one Core (and
+ * hence one MultiCoreChip) must not be read from two threads at once.
+ * Each simulated day owns its chip; no caller shares one across
+ * threads.
  */
 
 #ifndef SOLARCORE_CPU_CORE_HPP
 #define SOLARCORE_CPU_CORE_HPP
 
 #include <cstdint>
+#include <vector>
 
 #include "cpu/dvfs.hpp"
 #include "cpu/perf_model.hpp"
@@ -66,7 +87,13 @@ class Core
     std::uint64_t dvfsTransitions() const { return dvfsTransitions_; }
     std::uint64_t gateTransitions() const { return gateTransitions_; }
 
-    void setDieTempC(double t) { dieTempC_ = t; }
+    void
+    setDieTempC(double t)
+    {
+        if (t != dieTempC_)
+            valid_ = 0;
+        dieTempC_ = t;
+    }
     double dieTempC() const { return dieTempC_; }
 
     /** The phase the core is currently executing. */
@@ -104,7 +131,16 @@ class Core
     double energyJoules() const { return energy_; }
 
   private:
-    PerfEstimate perfAtLevel(int level) const;
+    /** One level's cached model outputs. */
+    struct LevelEstimate
+    {
+        PerfEstimate perf;
+        PowerEstimate power;
+        double throughput = 0.0; //!< perf.throughput(level's frequency)
+    };
+
+    /** The (filled on demand) cache entry for @p level. */
+    const LevelEstimate &estimate(int level) const;
 
     int id_;
     const DvfsTable *table_;
@@ -124,6 +160,9 @@ class Core
 
     double instructions_ = 0.0;
     double energy_ = 0.0;
+
+    mutable std::vector<LevelEstimate> estimates_; //!< one per DVFS level
+    mutable std::uint64_t valid_ = 0; //!< bit l set: estimates_[l] filled
 };
 
 } // namespace solarcore::cpu

@@ -279,6 +279,7 @@ PreparedArray::setEnvironment(const Environment &env)
     if (prepared_ && env.irradiance == env_.irradiance &&
         env.cellTempC == env_.cellTempC)
         return;
+    SC_PROFILE_SCOPE("pv.prepare");
     env_ = env;
     prepared_ = true;
 
