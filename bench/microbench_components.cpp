@@ -42,15 +42,16 @@ BENCHMARK(BM_CellCurrentSolve);
 void
 BM_CellCurrentSolveNewton(benchmark::State &state)
 {
+    // The seed's damped-Newton solve over the same module voltages.
     const auto &module = bench::standardModule();
+    const auto &cell = module.cell();
+    const double cells = static_cast<double>(module.cellsSeries());
     const pv::Environment env{800.0, 40.0};
-    pv::setNewtonIvSolve(true);
     double v = 20.0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(module.currentAt(v, env));
+        benchmark::DoNotOptimize(cell.currentAtNewton(v / cells, env));
         v = v < 40.0 ? v + 0.1 : 20.0;
     }
-    pv::setNewtonIvSolve(false);
 }
 BENCHMARK(BM_CellCurrentSolveNewton);
 
@@ -63,21 +64,6 @@ BM_FindMpp(benchmark::State &state)
         benchmark::DoNotOptimize(pv::findMpp(array));
 }
 BENCHMARK(BM_FindMpp);
-
-void
-BM_FindMppNewton(benchmark::State &state)
-{
-    // The seed implementation: golden-section over the Newton-solved
-    // I-V curve, via the generic IvSource overload.
-    const auto &module = bench::standardModule();
-    pv::PvArray array(module, 1, 1, {800.0, 40.0});
-    const auto &source = static_cast<const pv::IvSource &>(array);
-    pv::setNewtonIvSolve(true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pv::findMpp(source));
-    pv::setNewtonIvSolve(false);
-}
-BENCHMARK(BM_FindMppNewton);
 
 void
 BM_FindMppCached(benchmark::State &state)
@@ -110,7 +96,7 @@ BM_PinRailVoltage(benchmark::State &state)
 }
 BENCHMARK(BM_PinRailVoltage);
 
-// --- batched SoA kernels (scalar oracle vs portable vs AVX2) --------
+// --- batched SoA kernels (portable vs AVX2) -------------------------
 
 /** A varied light-lane trace for the batch benches. */
 std::vector<pv::Environment>
@@ -147,13 +133,6 @@ runFindMppBatch(benchmark::State &state, pv::PvKernel kernel)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n));
 }
-
-void
-BM_FindMppBatchScalar(benchmark::State &state)
-{
-    runFindMppBatch(state, pv::PvKernel::Scalar);
-}
-BENCHMARK(BM_FindMppBatchScalar)->Arg(1024);
 
 void
 BM_FindMppBatchPortable(benchmark::State &state)
@@ -196,13 +175,6 @@ runEvalIvBatch(benchmark::State &state, pv::PvKernel kernel)
 }
 
 void
-BM_EvalIvBatchScalar(benchmark::State &state)
-{
-    runEvalIvBatch(state, pv::PvKernel::Scalar);
-}
-BENCHMARK(BM_EvalIvBatchScalar)->Arg(1024);
-
-void
 BM_EvalIvBatchPortable(benchmark::State &state)
 {
     runEvalIvBatch(state, pv::PvKernel::Portable);
@@ -219,8 +191,8 @@ BENCHMARK(BM_EvalIvBatchAvx2)->Arg(1024);
 void
 BM_MppCacheLookupBatch(benchmark::State &state)
 {
-    // Steady-state batched replay: the same 7 distinct conditions the
-    // scalar BM_FindMppCached cycles through, batched 64 at a time.
+    // Steady-state batched replay: 7 distinct conditions, as in the
+    // per-call BM_FindMppCached, batched 64 at a time.
     const auto &module = bench::standardModule();
     pv::MppCache cache(module, 1, 1);
     std::vector<pv::Environment> envs(64);
@@ -325,25 +297,6 @@ BM_SimulatedDay(benchmark::State &state)
 BENCHMARK(BM_SimulatedDay)->Arg(60)->Arg(30)->Unit(benchmark::kMillisecond);
 
 void
-BM_SimulatedDayNewton(benchmark::State &state)
-{
-    // Seed-equivalent end-to-end path: Newton I-V solves everywhere.
-    pv::setNewtonIvSolve(true);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
-                          workload::WorkloadId::HM2,
-                          core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0))));
-    }
-    pv::setNewtonIvSolve(false);
-}
-BENCHMARK(BM_SimulatedDayNewton)
-    ->Arg(60)
-    ->Arg(30)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SimulatedDayCached(benchmark::State &state)
 {
     // Cross-day memo shared across repetitions, as in the sweeps.
@@ -357,28 +310,6 @@ BM_SimulatedDayCached(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulatedDayCached)
-    ->Arg(60)
-    ->Arg(30)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_SimulatedDayScalarKernel(benchmark::State &state)
-{
-    // End-to-end day with the batch kernels disabled: everything the
-    // default BM_SimulatedDay gains over this row is the SoA batching
-    // plus SIMD dispatch plumbed through the day driver.
-    const pv::PvKernel prev = pv::selectedPvKernel();
-    pv::setPvKernel(pv::PvKernel::Scalar);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            bench::runDay(solar::SiteId::AZ, solar::Month::Apr,
-                          workload::WorkloadId::HM2,
-                          core::PolicyKind::MpptOpt, 75.0, false,
-                          static_cast<double>(state.range(0))));
-    }
-    pv::setPvKernel(prev);
-}
-BENCHMARK(BM_SimulatedDayScalarKernel)
     ->Arg(60)
     ->Arg(30)
     ->Unit(benchmark::kMillisecond);

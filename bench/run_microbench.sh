@@ -4,18 +4,16 @@
 # observability-layer rows and BENCH_telemetry.json for the deep-
 # telemetry rows: waveform recorder, self-profiler, invariant
 # auditor). The suite carries its own before/after
-# pairs: BM_CellCurrentSolveNewton / BM_FindMppNewton /
-# BM_SimulatedDayNewton force the retained damped-Newton I-V path (the
-# seed implementation), so one run captures both sides of the
-# Lambert-W / MPP-cache comparison, and BM_SimulatedDayObsOff /
+# pairs: BM_CellCurrentSolveNewton calls the retained damped-Newton I-V
+# solve (the seed implementation) directly, so one run captures both
+# sides of the Lambert-W comparison, and BM_SimulatedDayObsOff /
 # BM_SimulatedDayTraced bracket the instrumentation layer's overhead.
-# BM_FindMppBatch* / BM_EvalIvBatch* / BM_SimulatedDayScalarKernel
-# bracket the batched SoA kernels against the scalar oracle, and the
-# final section records the end-to-end fig13 scalar-vs-dispatched
-# campaign speedup (with a golden parity check) in BENCH_campaign.json
-# and the sustained-load serve daemon numbers (cold/warm throughput,
-# cache-hit latency floor, tracing-off overhead gate) in
-# BENCH_serve.json.
+# BM_FindMppBatch* / BM_EvalIvBatch* compare the portable and AVX2
+# batch kernels, and the final section records the end-to-end fig13
+# portable-vs-dispatched campaign rates (with a byte-for-byte parity
+# check) in BENCH_campaign.json and the sustained-load serve daemon
+# numbers (cold/warm throughput, cache-hit latency floor, tracing-off
+# overhead gate) in BENCH_serve.json.
 #
 # The build directory must be a Release tree (enforced below) and every
 # output file is stamped with the build type that produced it.
@@ -69,7 +67,7 @@ fi
 
 # Rebuild so the benchmarks measure the tree as it stands.
 cmake --build "${build_dir}" -j \
-    --target microbench_components solarcore_campaign golden_check \
+    --target microbench_components solarcore_campaign \
     > /dev/null
 
 bench_bin="${build_dir}/bench/microbench_components"
@@ -250,15 +248,13 @@ EOF
     rm -f "${stats_tmp}" "${stats_tmp}.manifest.json"
 fi
 
-# --- batched-kernel campaign speedup (BENCH_campaign.json) ----------
-# The fig13 preset, once with the batch kernels disabled (scalar
-# oracle) and once with the dispatched kernel, each reporting the
-# tool's own end-of-run units-per-second. The dispatched kernel must
-# also reproduce the scalar summary within the golden-check
-# tolerances; a fast-but-wrong kernel fails the script.
+# --- batched-kernel campaign rates (BENCH_campaign.json) ------------
+# The fig13 preset, once on the portable kernel and once on the
+# dispatched kernel, each reporting the tool's own end-of-run
+# units-per-second. The two summaries must be byte-identical; a
+# fast-but-wrong kernel fails the script.
 campaign_bin="${build_dir}/tools/solarcore_campaign"
-golden_bin="${build_dir}/tools/golden_check"
-if [[ -x "${campaign_bin}" && -x "${golden_bin}" ]]; then
+if [[ -x "${campaign_bin}" ]]; then
     campaign_tmp="$(mktemp -d)"
     run_fig13() { # kernel -> units/sec (the last progress line's rate)
         "${campaign_bin}" --preset=fig13 "--pv-kernel=$1" \
@@ -267,12 +263,11 @@ if [[ -x "${campaign_bin}" && -x "${golden_bin}" ]]; then
             --verbose 2>&1 |
             sed -n 's/.*, \([0-9.]*\) u\/s.*/\1/p' | tail -1
     }
-    scalar_rate="$(run_fig13 scalar)"
+    portable_rate="$(run_fig13 portable)"
     auto_rate="$(run_fig13 auto)"
     dispatched="$(sed -n 's/.*"pv_kernel":[[:space:]]*"\([a-z0-9]*\)".*/\1/p' \
         "${campaign_tmp}/auto.manifest.json" | head -1)"
-    "${golden_bin}" --check "${campaign_tmp}/scalar.json" \
-        "${campaign_tmp}/auto.json"
+    cmp "${campaign_tmp}/portable.json" "${campaign_tmp}/auto.json"
 
     # Execution-engine modes on the same preset: a forked-worker cold
     # run, then a warm unit-cache re-run (the cache dir was just
@@ -308,24 +303,24 @@ max(float('${t1}') - float('${t0}'), 1e-9))")"
     cmp "${campaign_tmp}/auto.json" "${campaign_tmp}/cachewarm.json"
 
     campaign_out="${repo_root}/BENCH_campaign.json"
-    python3 - "${campaign_out}" "${build_type}" "${scalar_rate}" \
+    python3 - "${campaign_out}" "${build_type}" "${portable_rate}" \
         "${auto_rate}" "${dispatched}" "${workers_rate}" \
         "${cold_rate}" "${warm_rate}" \
         "${campaign_tmp}/cachewarm.status.json" <<'EOF'
 import json, sys
-(path, build_type, scalar, auto, dispatched, workers, cold, warm,
+(path, build_type, portable, auto, dispatched, workers, cold, warm,
  warm_status) = sys.argv[1:10]
-scalar, auto = float(scalar), float(auto)
+portable, auto = float(portable), float(auto)
 workers, cold, warm = float(workers), float(cold), float(warm)
 with open(warm_status) as f:
     cache = json.load(f).get("unit_cache", {})
 doc = {
     "preset": "fig13",
     "context": {"solarcore_build_type": build_type},
-    "scalar_units_per_second": scalar,
+    "portable_units_per_second": portable,
     "dispatched_kernel": dispatched,
     "dispatched_units_per_second": auto,
-    "speedup": auto / scalar if scalar else 0.0,
+    "kernel_speedup": auto / portable if portable else 0.0,
     "workers2_units_per_second": workers,
     "workers2_speedup": workers / auto if auto else 0.0,
     "cache_cold_units_per_second": cold,
@@ -341,8 +336,8 @@ if cache.get("misses", 0) != 0 or cache.get("hits", 0) == 0:
 with open(path, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
-print(f"campaign fig13: {scalar:.1f} u/s scalar -> {auto:.1f} u/s "
-      f"{dispatched} ({doc['speedup']:.2f}x), parity OK")
+print(f"campaign fig13: {portable:.1f} u/s portable -> {auto:.1f} u/s "
+      f"{dispatched} ({doc['kernel_speedup']:.2f}x), summaries identical")
 print(f"campaign fig13: workers=2 {workers:.1f} u/s "
       f"({doc['workers2_speedup']:.2f}x vs in-process), "
       f"warm cache {warm:.1f} u/s vs cold {cold:.1f} u/s, "

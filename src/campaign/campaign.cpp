@@ -147,17 +147,11 @@ runCampaign(const ScenarioGrid &grid_in, const CampaignOptions &options)
     // differently across machines, and a journal must never be resumed
     // under a different kernel than the one that produced it.
     ScenarioGrid grid = grid_in;
-    pv::PvKernel kernel = pv::detectPvKernel();
-    if (grid.pvKernel != "auto") {
-        pv::PvKernel requested;
-        if (!pv::pvKernelFromToken(grid.pvKernel, requested))
-            SC_FATAL("campaign: unknown pv kernel '", grid.pvKernel, "'");
-        if (!pv::pvKernelSupported(requested))
-            SC_FATAL("campaign: pv kernel '", grid.pvKernel,
-                     "' not supported on this cpu (simd level: ",
-                     cpuSimdLevelName(), ")");
-        kernel = requested;
-    }
+    pv::PvKernel kernel = pv::PvKernel::Portable;
+    if (!pv::resolvePvKernel(grid.pvKernel, kernel))
+        SC_FATAL("campaign: pv kernel '", grid.pvKernel,
+                 "' unknown or not supported on this cpu (simd level: ",
+                 cpuSimdLevelName(), ")");
     pv::setPvKernel(kernel);
     grid.pvKernel = pv::pvKernelName(kernel);
 

@@ -62,8 +62,8 @@ struct ScenarioGrid
     double trackingPeriodMinutes = 10.0;
 
     /**
-     * PV kernel token: "auto" (runtime dispatch), "scalar", "portable"
-     * or "avx2". runCampaign resolves "auto" to the dispatched kernel
+     * PV kernel token: "auto" (runtime dispatch), "portable" or
+     * "avx2". runCampaign resolves "auto" to the dispatched kernel
      * and records the *resolved* name in the grid signature, so two
      * runs whose journals/summaries are byte-compatible are guaranteed
      * to have used the same kernel.

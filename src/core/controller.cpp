@@ -24,11 +24,10 @@ SolarCoreController::SolarCoreController(const pv::IvSource &panel,
 power::NetworkState
 SolarCoreController::pinRail(double demand_w)
 {
-    // Non-uniform panels (partial shading / composite strings) and the
-    // Scalar-kernel / Newton-oracle modes keep the legacy call
-    // sequence, which doubles as the measurable parity baseline.
-    if (arrayPanel_ && pv::selectedPvKernel() != pv::PvKernel::Scalar &&
-        !pv::newtonIvSolve()) {
+    // A uniform array pins through its prepared environment; a
+    // non-uniform panel (partial shading / composite strings) takes the
+    // generic IvSource pin.
+    if (arrayPanel_) {
         if (!prepared_) {
             prepared_.emplace(arrayPanel_->module(),
                               arrayPanel_->modulesSeries(),

@@ -127,12 +127,11 @@ class SolarCoreController
     bool sustainable(double demand_w);
 
     /**
-     * Pin the rail at nominal for @p demand_w. When the panel is a
-     * uniform PvArray and a batch PV kernel is selected (and the
-     * Newton oracle is off), this routes through the PreparedArray
-     * fast path -- the per-environment constants and the MPP are
-     * derived once per environment change instead of once per probe.
-     * Otherwise it is exactly the legacy pinRailVoltage call.
+     * Pin the rail at nominal for @p demand_w. A uniform PvArray
+     * routes through the PreparedArray fast path -- the
+     * per-environment constants and the MPP are derived once per
+     * environment change instead of once per probe. Any other panel
+     * takes the generic IvSource pinRailVoltage.
      */
     power::NetworkState pinRail(double demand_w);
 

@@ -382,10 +382,9 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     // Batched MPP precompute: the per-step environment is a pure
     // function of the trace, so stage every step's environment (the
     // walk is the step loop's own, so indices line up one-to-one) and
-    // resolve all MPPs in one batched call. Results and cache hit/miss
-    // counters are sequential-equivalent, and lookupBatch degrades to
-    // the legacy per-step path under the Scalar kernel or the Newton
-    // oracle. clear()/assign() keep capacity: a reused workspace
+    // resolve all MPPs in one batched call on the selected lane kernel.
+    // Cache hit/miss counters are sequential-equivalent to per-step
+    // lookups. clear()/assign() keep capacity: a reused workspace
     // allocates only when the trace grows.
     ws.stepEnvs.clear();
     for (double minute = trace.startMinute(); minute <= trace.endMinute();

@@ -63,8 +63,8 @@ NetworkState pinRailVoltage(const pv::IvSource &source, DcDcConverter &conv,
  * been set: the MPP feasibility check reads the cached (bitwise
  * legacy-identical) MPP and the stable-branch solve runs a warm
  * analytic Newton instead of findMpp + a 40-step bisect per call. The
- * controller routes here when a batch kernel is selected; the IvSource
- * overload above remains the scalar parity oracle.
+ * controller routes every uniform PvArray here; the IvSource overload
+ * above serves non-uniform sources and is the tests' parity oracle.
  */
 NetworkState pinRailVoltage(const pv::PreparedArray &array,
                             DcDcConverter &conv, double v_rail,

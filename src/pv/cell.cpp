@@ -1,6 +1,5 @@
 #include "cell.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -13,21 +12,7 @@ namespace {
 constexpr double kBoltzmann = 1.380649e-23; // [J/K]
 constexpr double kElectron = 1.602176634e-19; // [C]
 
-std::atomic<bool> g_newton_iv_solve{false};
-
 } // namespace
-
-void
-setNewtonIvSolve(bool enabled)
-{
-    g_newton_iv_solve.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-newtonIvSolve()
-{
-    return g_newton_iv_solve.load(std::memory_order_relaxed);
-}
 
 SolarCell::SolarCell(const CellParams &params) : params_(params)
 {
@@ -77,9 +62,6 @@ SolarCell::currentAt(double v, const Environment &env) const
         const double vt = thermalVoltage(env.cellTempC);
         return -saturationCurrent(env.cellTempC) * std::expm1(v / vt);
     }
-    if (newtonIvSolve())
-        return currentAtNewton(v, env);
-
     const double iph = photoCurrent(env);
     const double i0 = saturationCurrent(env.cellTempC);
     const double vt = thermalVoltage(env.cellTempC);

@@ -18,8 +18,9 @@
  *
  *   I = Iph + I0 - (Vt / Rs) * W( (I0 Rs / Vt) exp((V + (Iph+I0) Rs)/Vt) )
  *
- * which is the default evaluation path; the original damped-Newton
- * solve is retained behind setNewtonIvSolve() as a cross-check oracle.
+ * which is the only production evaluation path. The original
+ * damped-Newton solve survives as currentAtNewton(), an oracle the
+ * parity tests and the seed-baseline microbenchmark call directly.
  */
 
 #ifndef SOLARCORE_PV_CELL_HPP
@@ -76,8 +77,7 @@ class SolarCell
      * transcendental solve, no inner iteration); monotone decreasing
      * in v. Negative results (v beyond Voc) are returned as-is so
      * callers can detect reverse bias; clamp at the call site when
-     * modelling a blocking diode. When the Newton oracle flag is set
-     * (setNewtonIvSolve) the original damped-Newton solve runs instead.
+     * modelling a blocking diode.
      */
     double currentAt(double v, const Environment &env) const;
 
@@ -123,16 +123,6 @@ class SolarCell
     CellParams params_;
     double i0Ref_; //!< saturation current at STC, from Voc/Isc calibration
 };
-
-/**
- * Route SolarCell::currentAt through the legacy damped-Newton solve
- * (true) instead of the closed-form Lambert-W path (false, default).
- * Global and atomic; intended for parity tests and benchmarks only.
- */
-void setNewtonIvSolve(bool enabled);
-
-/** Current state of the Newton-oracle flag. */
-bool newtonIvSolve();
 
 /** Convert Celsius to Kelvin. */
 constexpr double

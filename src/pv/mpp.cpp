@@ -30,12 +30,6 @@ findMpp(const PvArray &array)
     if (env.irradiance <= 0.0)
         return MppResult{};
 
-    // Oracle mode: route through the generic golden-section search so
-    // the flag switches the complete seed solve, not just the I-V
-    // kernel (the parity tests and BM_*Newton baselines rely on this).
-    if (newtonIvSolve())
-        return findMpp(static_cast<const IvSource &>(array));
-
     const PvModule &module = array.module();
     const SolarCell &cell = module.cell();
     const double v_cell = cell.mppVoltage(env);

@@ -50,14 +50,6 @@ MppCache::mpp(const Environment &env)
     if (env.irradiance <= 0.0)
         return MppResult{}; // dark: not worth an entry
 
-    // Oracle mode bypasses the memo too: every lookup re-solves via the
-    // seed path, so flagged runs measure/reproduce it faithfully.
-    if (newtonIvSolve()) {
-        SC_PROFILE_SCOPE("mpp.solve");
-        array_.setEnvironment(env);
-        return findMpp(array_);
-    }
-
     const Key key = keyFor(env);
     const auto it = memo_.find(key);
     if (it != memo_.end()) {
@@ -86,13 +78,6 @@ MppCache::lookupBatch(std::span<const Environment> envs,
     SC_ASSERT(envs.size() == out.size(),
               "lookupBatch: span lengths differ");
     SC_PROFILE_SCOPE("mpp.lookupBatch");
-    if (selectedPvKernel() == PvKernel::Scalar || newtonIvSolve()) {
-        // Legacy measurement path: per-element lookups with their
-        // original profiling scopes, stats ordering and solve routing.
-        for (std::size_t k = 0; k < envs.size(); ++k)
-            out[k] = mpp(envs[k]);
-        return;
-    }
 
     // Pass 1: classify each environment against the memo. emplace()'s
     // "inserted" bit distinguishes a genuine miss (first occurrence of
@@ -111,8 +96,8 @@ MppCache::lookupBatch(std::span<const Environment> envs,
             continue;
         }
         ++stats_.misses;
-        // Quantized mode solves at the bucket center, exactly as the
-        // scalar path does.
+        // Quantized mode solves at the bucket center, exactly as
+        // mpp() does.
         Environment solved = env;
         if (gQuantum_ > 0.0)
             solved.irradiance = static_cast<double>(key.g) * gQuantum_;

@@ -61,12 +61,12 @@ class MppCache
     /**
      * Batched lookup: out[k] = the MPP at envs[k], with every miss in
      * the batch gathered and solved through one findMppBatch call on
-     * the selected lane kernel. Results and hit/miss counters are
-     * sequential-equivalent: identical to calling mpp() per element in
-     * order (first occurrence of a new key counts a miss, repeats
-     * count hits, dark environments bypass the memo and the counters).
-     * Under the Scalar kernel or the Newton oracle this literally is
-     * the per-element loop, preserving the legacy measurement path.
+     * the selected lane kernel. Hit/miss counters and memo keys are
+     * sequential-equivalent to calling mpp() per element in order
+     * (first occurrence of a new key counts a miss, repeats count
+     * hits, dark environments bypass the memo and the counters); the
+     * solved MPPs agree with mpp()'s per-call solve, the tests'
+     * oracle, within the batch kernel's ~1e-12 relative tolerance.
      */
     void lookupBatch(std::span<const Environment> envs,
                      std::span<MppResult> out);

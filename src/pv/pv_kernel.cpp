@@ -34,8 +34,8 @@ CellConsts::from(const SolarCell &cell)
 
 namespace {
 
-// -1 = unset: resolve lazily to detectPvKernel(). Mirrors the Newton
-// oracle flag: global, relaxed atomics, set once at startup.
+// -1 = unset: resolve lazily to detectPvKernel(). Global, relaxed
+// atomics, set once at startup.
 std::atomic<int> g_pv_kernel{-1};
 
 void
@@ -80,8 +80,6 @@ const char *
 pvKernelName(PvKernel kernel)
 {
     switch (kernel) {
-    case PvKernel::Scalar:
-        return "scalar";
     case PvKernel::Portable:
         return "portable";
     case PvKernel::Avx2:
@@ -93,10 +91,6 @@ pvKernelName(PvKernel kernel)
 bool
 pvKernelFromToken(std::string_view token, PvKernel &out)
 {
-    if (token == "scalar") {
-        out = PvKernel::Scalar;
-        return true;
-    }
     if (token == "portable") {
         out = PvKernel::Portable;
         return true;
@@ -122,7 +116,6 @@ bool
 pvKernelSupported(PvKernel kernel)
 {
     switch (kernel) {
-    case PvKernel::Scalar:
     case PvKernel::Portable:
         return true;
     case PvKernel::Avx2:
@@ -133,6 +126,20 @@ pvKernelSupported(PvKernel kernel)
 #endif
     }
     return false;
+}
+
+bool
+resolvePvKernel(std::string_view token, PvKernel &out)
+{
+    if (token == "auto") {
+        out = detectPvKernel();
+        return true;
+    }
+    PvKernel parsed = PvKernel::Portable;
+    if (!pvKernelFromToken(token, parsed) || !pvKernelSupported(parsed))
+        return false;
+    out = parsed;
+    return true;
 }
 
 void
@@ -162,12 +169,8 @@ evalIv(const SolarCell &cell, std::span<const Environment> envs,
 {
     SC_ASSERT(envs.size() == v.size() && envs.size() == out.size(),
               "evalIv: span lengths differ");
-    const PvKernel kernel = selectedPvKernel();
-    if (kernel == PvKernel::Scalar || newtonIvSolve() ||
-        cell.params().seriesRes <= 0.0) {
-        // Parity-oracle route: the untouched per-call scalar path
-        // (bitwise identical to legacy callers, including the exact
-        // expm1 Rs = 0 formula and the Newton oracle when flagged).
+    if (cell.params().seriesRes <= 0.0) {
+        // Rs = 0: the exact per-call expm1 formulas, bitwise.
         for (std::size_t k = 0; k < envs.size(); ++k) {
             out[k].current = cell.currentAt(v[k], envs[k]);
             out[k].slope = cell.currentSlopeAt(v[k], envs[k]);
@@ -176,6 +179,7 @@ evalIv(const SolarCell &cell, std::span<const Environment> envs,
     }
 
     SC_PROFILE_SCOPE("pv.evalIvBatch");
+    const PvKernel kernel = selectedPvKernel();
     const detail::CellConsts consts = detail::CellConsts::from(cell);
     alignas(64) double gs[kChunk], ts[kChunk], vs[kChunk];
     alignas(64) double is[kChunk], dis[kChunk];
@@ -216,11 +220,8 @@ findMppBatch(const PvModule &module, int modules_series,
     SC_ASSERT(modules_series > 0 && modules_parallel > 0,
               "findMppBatch: arrangement must be positive");
     const SolarCell &cell = module.cell();
-    const PvKernel kernel = selectedPvKernel();
-    if (kernel == PvKernel::Scalar || newtonIvSolve() ||
-        cell.params().seriesRes <= 0.0) {
-        // Parity-oracle route: exact per-lane findMpp(PvArray),
-        // including the golden-section path under the Newton oracle.
+    if (cell.params().seriesRes <= 0.0) {
+        // Rs = 0: the exact per-lane findMpp(PvArray).
         PvArray array(module, modules_series, modules_parallel, kStc);
         for (std::size_t k = 0; k < envs.size(); ++k) {
             array.setEnvironment(envs[k]);
@@ -230,6 +231,7 @@ findMppBatch(const PvModule &module, int modules_series,
     }
 
     SC_PROFILE_SCOPE("pv.findMppBatch");
+    const PvKernel kernel = selectedPvKernel();
     const detail::CellConsts consts = detail::CellConsts::from(cell);
     const double v_scale =
         static_cast<double>(module.cellsSeries() * modules_series);

@@ -21,10 +21,11 @@
  *     environment cost a handful of warm Lambert evaluations instead
  *     of a full findMpp plus a 40-step std::function bisect each.
  *
- * PvKernel::Scalar preserves the untouched legacy call sequence as the
- * always-built parity oracle, exactly like the PR 1 Newton oracle:
- * selecting it routes every consumer (day drivers, MppCache, the
- * controller) through the original per-call scalar code path.
+ * Each kind of panel has exactly one production route: a uniform
+ * PvArray goes through these batch kernels plus PreparedArray, and a
+ * non-uniform IvSource (e.g. a ShadedString) through the generic
+ * golden-section MPP and bisecting rail pin. The per-call SolarCell
+ * path survives only as the oracle the tests call directly.
  *
  * Determinism contract: for a fixed kernel choice, results are a pure
  * function of the inputs -- independent of batch size, lane position
@@ -45,12 +46,11 @@ namespace solarcore::pv {
 /** The selectable batch-kernel implementations. */
 enum class PvKernel
 {
-    Scalar = 0,  //!< legacy per-call scalar path (parity oracle)
-    Portable,    //!< SoA lane loop, baseline ISA
-    Avx2,        //!< explicit AVX2+FMA lanes (x86-64 with CPUID support)
+    Portable, //!< SoA lane loop, baseline ISA
+    Avx2,     //!< explicit AVX2+FMA lanes (x86-64 with CPUID support)
 };
 
-/** Kernel token: "scalar", "portable" or "avx2". */
+/** Kernel token: "portable" or "avx2". */
 const char *pvKernelName(PvKernel kernel);
 
 /** Parse a kernel token; returns false on an unknown token ("auto"
@@ -64,9 +64,16 @@ PvKernel detectPvKernel();
 bool pvKernelSupported(PvKernel kernel);
 
 /**
+ * Resolve a --pv-kernel token: "auto" picks detectPvKernel(), any
+ * other token must name a supported kernel. Returns false (leaving
+ * @p out untouched) on an unknown or unsupported token.
+ */
+bool resolvePvKernel(std::string_view token, PvKernel &out);
+
+/**
  * Select the process-global kernel. Asserts the kernel is supported.
- * Global and atomic, mirroring setNewtonIvSolve(); intended to be set
- * once at CLI startup (or per benchmark/test with save-restore).
+ * Global and atomic; intended to be set once at CLI startup (or per
+ * benchmark/test with save-restore).
  */
 void setPvKernel(PvKernel kernel);
 
@@ -83,8 +90,9 @@ struct IvOut
 /**
  * Batched cell-level I-V evaluation: out[k] = {I, dI/dV} of @p cell at
  * terminal voltage v[k] under envs[k]. Lanes are independent; dark
- * (G <= 0) and Rs = 0 lanes fall back to the exact scalar formulas so
- * special-case parity is bitwise. All spans must have equal length.
+ * (G <= 0) lanes and Rs = 0 cells fall back to the exact per-call
+ * SolarCell formulas so special-case parity is bitwise. All spans must
+ * have equal length.
  */
 void evalIv(const SolarCell &cell, std::span<const Environment> envs,
             std::span<const double> v, std::span<IvOut> out);

@@ -152,19 +152,11 @@ Server::start()
     // Resolve the PV kernel exactly like runCampaign: "auto" picks the
     // best supported kernel, and the *resolved* name feeds every cache
     // key so answers are never mixed across kernels.
-    pv::PvKernel kernel = pv::detectPvKernel();
-    if (config_.pvKernel != "auto") {
-        pv::PvKernel requested;
-        if (!pv::pvKernelFromToken(config_.pvKernel, requested)) {
-            SC_WARN("serve: unknown pv kernel '", config_.pvKernel, "'");
-            return false;
-        }
-        if (!pv::pvKernelSupported(requested)) {
-            SC_WARN("serve: pv kernel '", config_.pvKernel,
-                    "' not supported on this cpu");
-            return false;
-        }
-        kernel = requested;
+    pv::PvKernel kernel = pv::PvKernel::Portable;
+    if (!pv::resolvePvKernel(config_.pvKernel, kernel)) {
+        SC_WARN("serve: pv kernel '", config_.pvKernel,
+                "' unknown or not supported on this cpu");
+        return false;
     }
     pv::setPvKernel(kernel);
     resolvedKernel_ = pv::pvKernelName(kernel);

@@ -124,7 +124,7 @@ TEST(UnitCache, KeyReactsToEverySharedKnobButNotAxisLists)
     knob.fixedBudgetW = 42.0;
     EXPECT_NE(cache.keyHash(knob, units[0]), base);
     knob = grid;
-    knob.pvKernel = "scalar";
+    knob.pvKernel = "portable";
     EXPECT_NE(cache.keyHash(knob, units[0]), base);
 
     // A different salt (audit mode) is a different key space too.

@@ -1,20 +1,20 @@
 /**
  * @file
  * Parity, determinism and routing tests for the batched SoA PV kernels
- * (pv/pv_kernel.hpp) against the per-call scalar path, which this PR
- * keeps untouched as the always-built parity oracle.
+ * (pv/pv_kernel.hpp). The oracles are direct calls to the per-call
+ * path: SolarCell::currentAt / currentSlopeAt, findMpp(PvArray), a
+ * MppCache::mpp() loop and the IvSource pinRailVoltage overload.
  *
- * The numeric contract: the batch kernels agree with the scalar
+ * The numeric contract: the batch kernels agree with the per-call
  * Lambert-W path to ~1e-12 relative (far inside the golden-baseline
  * tolerances), dark lanes and Rs = 0 cells route through the *exact*
- * scalar formulas (bitwise), and lane math is elementwise with fixed
+ * per-call formulas (bitwise), and lane math is elementwise with fixed
  * iteration counts, so results are bitwise independent of batch size,
  * lane position and tail padding.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,17 +39,7 @@ struct KernelGuard
     ~KernelGuard() { setPvKernel(saved); }
 };
 
-/** Every kernel the running machine can execute. */
-std::vector<PvKernel>
-availableKernels()
-{
-    std::vector<PvKernel> kernels = {PvKernel::Scalar, PvKernel::Portable};
-    if (pvKernelSupported(PvKernel::Avx2))
-        kernels.push_back(PvKernel::Avx2);
-    return kernels;
-}
-
-/** Batch (not Scalar) kernels available on the running machine. */
+/** Every batch kernel the running machine can execute. */
 std::vector<PvKernel>
 batchKernels()
 {
@@ -100,66 +90,72 @@ near(double a, double b, double rtol, double atol)
 
 TEST(PvKernel, TokensRoundTripAndDetectIsSupported)
 {
-    for (PvKernel k :
-         {PvKernel::Scalar, PvKernel::Portable, PvKernel::Avx2}) {
+    for (PvKernel k : {PvKernel::Portable, PvKernel::Avx2}) {
         PvKernel parsed;
         ASSERT_TRUE(pvKernelFromToken(pvKernelName(k), parsed));
         EXPECT_EQ(parsed, k);
     }
     PvKernel parsed;
     EXPECT_FALSE(pvKernelFromToken("auto", parsed));
+    EXPECT_FALSE(pvKernelFromToken("scalar", parsed));
     EXPECT_FALSE(pvKernelFromToken("sse9", parsed));
     EXPECT_TRUE(pvKernelSupported(detectPvKernel()));
 }
 
-TEST(PvKernel, EvalIvScalarKernelIsBitIdenticalToCellCalls)
+TEST(PvKernel, ResolveAcceptsAutoAndSupportedKernelsOnly)
 {
-    KernelGuard guard;
-    setPvKernel(PvKernel::Scalar);
-    const SolarCell &cell = testModule().cell();
+    PvKernel k = PvKernel::Portable;
+    ASSERT_TRUE(resolvePvKernel("auto", k));
+    EXPECT_EQ(k, detectPvKernel());
+    ASSERT_TRUE(resolvePvKernel("portable", k));
+    EXPECT_EQ(k, PvKernel::Portable);
+    EXPECT_EQ(resolvePvKernel("avx2", k),
+              pvKernelSupported(PvKernel::Avx2));
 
-    const auto envs = envGrid();
-    std::vector<double> volts;
-    for (std::size_t k = 0; k < envs.size(); ++k)
-        volts.push_back(0.1 * static_cast<double>(k % 7));
-    std::vector<IvOut> out(envs.size());
-    evalIv(cell, envs, volts, out);
-    for (std::size_t k = 0; k < envs.size(); ++k) {
-        EXPECT_EQ(out[k].current, cell.currentAt(volts[k], envs[k]));
-        EXPECT_EQ(out[k].slope, cell.currentSlopeAt(volts[k], envs[k]));
-    }
+    // A rejected token leaves the output untouched.
+    k = PvKernel::Portable;
+    EXPECT_FALSE(resolvePvKernel("scalar", k));
+    EXPECT_FALSE(resolvePvKernel("", k));
+    EXPECT_FALSE(resolvePvKernel("AUTO", k));
+    EXPECT_EQ(k, PvKernel::Portable);
 }
 
 TEST(PvKernel, EvalIvMatchesScalarAcrossGrid)
 {
     KernelGuard guard;
     const SolarCell &cell = testModule().cell();
-    const auto envs = envGrid();
+
+    // The whole grid, dark lanes interleaved with lit ones, as one
+    // batch.
+    std::vector<Environment> envs;
+    std::vector<double> volts;
+    for (const auto &env : envGrid()) {
+        const double voc = cell.openCircuitVoltage(env);
+        for (double frac : {0.0, 0.3, 0.6, 0.85, 0.95, 1.0}) {
+            envs.push_back(env);
+            volts.push_back(frac * std::max(voc, 0.4));
+        }
+    }
 
     for (PvKernel kernel : batchKernels()) {
         setPvKernel(kernel);
-        for (const auto &env : envs) {
-            const double voc = cell.openCircuitVoltage(env);
-            for (double frac : {0.0, 0.3, 0.6, 0.85, 0.95, 1.0}) {
-                const double v = frac * std::max(voc, 0.4);
-                const Environment es[1] = {env};
-                const double vs[1] = {v};
-                IvOut out[1];
-                evalIv(cell, es, vs, out);
-                const double i_ref = cell.currentAt(v, env);
-                const double di_ref = cell.currentSlopeAt(v, env);
-                if (env.irradiance <= 0.0) {
-                    // Dark lanes take the exact scalar formula.
-                    EXPECT_EQ(out[0].current, i_ref);
-                    EXPECT_EQ(out[0].slope, di_ref);
-                } else {
-                    EXPECT_TRUE(near(out[0].current, i_ref, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " G=" << env.irradiance
-                        << " T=" << env.cellTempC << " v=" << v;
-                    EXPECT_TRUE(near(out[0].slope, di_ref, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " G=" << env.irradiance
-                        << " T=" << env.cellTempC << " v=" << v;
-                }
+        std::vector<IvOut> out(envs.size());
+        evalIv(cell, envs, volts, out);
+        for (std::size_t k = 0; k < envs.size(); ++k) {
+            const Environment &env = envs[k];
+            const double i_ref = cell.currentAt(volts[k], env);
+            const double di_ref = cell.currentSlopeAt(volts[k], env);
+            if (env.irradiance <= 0.0) {
+                // Dark lanes take the exact per-call formula.
+                EXPECT_EQ(out[k].current, i_ref);
+                EXPECT_EQ(out[k].slope, di_ref);
+            } else {
+                EXPECT_TRUE(near(out[k].current, i_ref, 1e-9, 1e-12))
+                    << pvKernelName(kernel) << " G=" << env.irradiance
+                    << " T=" << env.cellTempC << " v=" << volts[k];
+                EXPECT_TRUE(near(out[k].slope, di_ref, 1e-9, 1e-12))
+                    << pvKernelName(kernel) << " G=" << env.irradiance
+                    << " T=" << env.cellTempC << " v=" << volts[k];
             }
         }
     }
@@ -279,7 +275,7 @@ TEST(PvKernel, LookupBatchIsSequentialEquivalent)
         {600.0, 30.0}, {801.0, 40.0}, {800.0, 40.0},
     };
 
-    for (PvKernel kernel : availableKernels()) {
+    for (PvKernel kernel : batchKernels()) {
         setPvKernel(kernel);
         for (double quantum : {0.0, 5.0}) {
             MppCache seq(testModule(), 1, 1, quantum);
@@ -296,14 +292,11 @@ TEST(PvKernel, LookupBatchIsSequentialEquivalent)
             EXPECT_EQ(bat.stats().misses, seq.stats().misses);
             EXPECT_EQ(bat.size(), seq.size());
             for (std::size_t k = 0; k < envs.size(); ++k) {
-                if (kernel == PvKernel::Scalar) {
-                    // The Scalar route is literally the per-element loop.
-                    EXPECT_EQ(got[k].power, want[k].power) << k;
-                } else {
-                    EXPECT_TRUE(
-                        near(got[k].power, want[k].power, 1e-9, 1e-12))
-                        << pvKernelName(kernel) << " lane " << k;
-                }
+                EXPECT_TRUE(near(got[k].voltage, want[k].voltage, 1e-9,
+                                 1e-12))
+                    << pvKernelName(kernel) << " lane " << k;
+                EXPECT_TRUE(near(got[k].power, want[k].power, 1e-9, 1e-12))
+                    << pvKernelName(kernel) << " lane " << k;
             }
 
             // A second pass over the same batch must be pure hits.
@@ -312,24 +305,6 @@ TEST(PvKernel, LookupBatchIsSequentialEquivalent)
             EXPECT_EQ(bat.stats().misses, misses_before);
         }
     }
-}
-
-TEST(PvKernel, LookupBatchUnderNewtonOracleUsesLegacyLoop)
-{
-    KernelGuard guard;
-    setPvKernel(PvKernel::Portable);
-    setNewtonIvSolve(true);
-    std::vector<Environment> envs = {{700.0, 35.0}, {700.0, 35.0}};
-    MppCache cache(testModule(), 1, 1);
-    std::vector<MppResult> got(envs.size());
-    cache.lookupBatch(envs, got);
-    setNewtonIvSolve(false);
-
-    // Oracle mode re-solves every lookup: no memoization happened.
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(got[0].power, got[1].power);
-    EXPECT_GT(got[0].power, 0.0);
 }
 
 TEST(PvKernel, PreparedArrayMatchesPvArray)
@@ -401,14 +376,15 @@ TEST(PvKernel, ShadedStringKeepsTheLegacyControllerPath)
 {
     // A non-uniform source can never take the PreparedArray fast path
     // (partial shading breaks the single-diode closed form), so a
-    // controller driving a ShadedString must behave bitwise the same
+    // controller driving a ShadedString must settle on exactly the
+    // state the generic IvSource pin computes for its final demand,
     // under every kernel selection.
     KernelGuard guard;
     const std::vector<Environment> conditions = {{900.0, 45.0},
                                                  {250.0, 38.0}};
-    auto run = [&](PvKernel kernel) {
+    const ShadedString panel(testModule(), conditions);
+    for (PvKernel kernel : batchKernels()) {
         setPvKernel(kernel);
-        ShadedString panel(testModule(), conditions);
         cpu::MultiCoreChip chip{
             cpu::defaultChipConfig(), cpu::DvfsTable::paperDefault(),
             cpu::EnergyParams{},
@@ -416,13 +392,20 @@ TEST(PvKernel, ShadedStringKeepsTheLegacyControllerPath)
         core::TprOptAdapter adapter;
         core::SolarCoreController ctl(panel, chip, adapter);
         const auto res = ctl.track();
-        return std::tuple(res.solarViable, res.net.panel.voltage,
-                          res.net.panel.current, chip.totalPower());
-    };
+        ASSERT_TRUE(res.solarViable) << pvKernelName(kernel);
 
-    const auto scalar = run(PvKernel::Scalar);
-    for (PvKernel kernel : batchKernels())
-        EXPECT_EQ(run(kernel), scalar) << pvKernelName(kernel);
+        const core::ControllerConfig &cfg = ctl.config();
+        power::DcDcConverter conv(0.5, 8.0, cfg.converterEfficiency);
+        const auto want = power::pinRailVoltage(
+            panel, conv, cfg.railNominalV, chip.totalPower());
+        ASSERT_TRUE(want.valid);
+        EXPECT_EQ(res.net.panel.voltage, want.panel.voltage)
+            << pvKernelName(kernel);
+        EXPECT_EQ(res.net.panel.current, want.panel.current);
+        EXPECT_EQ(res.net.load.voltage, want.load.voltage);
+        EXPECT_EQ(res.net.load.current, want.load.current);
+        EXPECT_EQ(ctl.converter().ratio(), conv.ratio());
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
  * over-irradiance point), T in [-10, 75] C.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,38 @@ testModule()
     static const PvModule m = buildBp3180n();
     return m;
 }
+
+/**
+ * The seed panel: a 1 x 1 array of @p module whose cell current comes
+ * from the damped-Newton solve instead of the closed form, scaled
+ * exactly as PvArray -> PvModule scale SolarCell::currentAt.
+ */
+class NewtonArray : public IvSource
+{
+  public:
+    NewtonArray(const PvModule &module, const Environment &env)
+        : module_(module), env_(env)
+    {
+    }
+
+    double
+    currentAt(double v) const override
+    {
+        const double v_cell = v / module_.cellsSeries();
+        const double i_cell = module_.cell().currentAtNewton(v_cell, env_);
+        return std::max(0.0, i_cell) * module_.stringsParallel();
+    }
+
+    double
+    openCircuitVoltage() const override
+    {
+        return module_.openCircuitVoltage(env_);
+    }
+
+  private:
+    const PvModule &module_;
+    Environment env_;
+};
 
 class LambertParityGrid
     : public ::testing::TestWithParam<std::tuple<double, double>>
@@ -73,12 +106,8 @@ TEST_P(LambertParityGrid, AnalyticMppMatchesGoldenNewtonOracle)
     const MppResult fast = findMpp(array); // analytic overload
 
     // Oracle: tight golden-section search over the Newton-solved curve
-    // (the seed implementation, forced via the flag and the generic
-    // IvSource overload).
-    setNewtonIvSolve(true);
-    const MppResult oracle =
-        findMpp(static_cast<const IvSource &>(array), 1e-9);
-    setNewtonIvSolve(false);
+    // (the seed implementation, via the generic IvSource overload).
+    const MppResult oracle = findMpp(NewtonArray(module(), {g, t}), 1e-9);
 
     if (g <= 0.0) {
         EXPECT_EQ(fast.power, 0.0);
@@ -104,23 +133,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          1100.0),
                        ::testing::Values(-10.0, 0.0, 10.0, 25.0, 40.0,
                                          55.0, 75.0)));
-
-TEST(LambertParity, NewtonFlagRoutesTheSolve)
-{
-    const SolarCell &cell = testModule().cell();
-    const Environment env{800.0, 40.0};
-    const double v = 0.8 * cell.openCircuitVoltage(env);
-
-    ASSERT_FALSE(newtonIvSolve());
-    const double fast = cell.currentAt(v, env);
-    setNewtonIvSolve(true);
-    EXPECT_TRUE(newtonIvSolve());
-    const double via_flag = cell.currentAt(v, env);
-    setNewtonIvSolve(false);
-
-    EXPECT_DOUBLE_EQ(via_flag, cell.currentAtNewton(v, env));
-    EXPECT_LE(relDiff(fast, via_flag), 1e-9);
-}
 
 TEST(LambertParity, DarkPanelMppIsExplicitZero)
 {

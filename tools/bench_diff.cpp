@@ -14,7 +14,7 @@
  * real_time) regress when they grow; throughput-like metrics
  * (*units_per_second*, *speedup*) regress when they shrink.
  *
- *   bench_diff                         # all bench/history/*.jsonl
+ *   bench_diff                         # every .jsonl in bench/history
  *   bench_diff --rtol=0.3              # loosen the default tolerance
  *   bench_diff --tol=speedup:0.5       # per-metric override (substring)
  *   bench_diff --history-dir=D --baseline-dir=D2

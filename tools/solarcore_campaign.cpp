@@ -19,8 +19,8 @@
  *   --preset=smoke|fig13|fig14|full   start from a named grid
  *   --sites= --months= --policies= --workloads= --seeds=  (comma lists)
  *   --dt=SECONDS --budget=W --derating=F --period=MINUTES
- *   --pv-kernel=auto|scalar|portable|avx2 (batch PV kernel; "auto"
- *     dispatches on the CPU, "scalar" is the legacy per-call path)
+ *   --pv-kernel=auto|portable|avx2 (batch PV kernel; "auto"
+ *     dispatches on the CPU)
  *   --threads=N (0 = all hardware threads)
  *   --workers=N  fork N worker processes, each running a contiguous
  *     shard of the unit list over its own --threads pool; the summary
@@ -67,7 +67,7 @@ usage(const char *complaint = nullptr)
            "  [--workloads=H1,...] [--seeds=1,2,...]\n"
            "  [--dt=SECONDS] [--budget=W] [--derating=F] "
            "[--period=MIN]\n"
-           "  [--pv-kernel=auto|scalar|portable|avx2]\n"
+           "  [--pv-kernel=auto|portable|avx2]\n"
            "  [--threads=N] [--workers=N] [--out=FILE]\n"
            "  [--unit-cache=DIR] [--unit-cache-cap=N]\n"
            "  [--journal=FILE] [--resume]\n"
@@ -150,7 +150,7 @@ main(int argc, char **argv)
             pv::PvKernel parsed;
             if (value != "auto" &&
                 !pv::pvKernelFromToken(value, parsed))
-                usage("bad --pv-kernel (want auto|scalar|portable|avx2)");
+                usage("bad --pv-kernel (want auto|portable|avx2)");
             grid.pvKernel = value;
         } else if (key == "--threads") {
             options.threads =

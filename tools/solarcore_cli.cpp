@@ -16,7 +16,7 @@
  *          --workload H1..ML2   --policy opt|rr|ic|icm|fixed
  *          --budget <W>         --seed <n>   --days <n>
  *          --dt <seconds>       --threshold <W>
- *          --pv-kernel auto|scalar|portable|avx2 (batch PV kernel)
+ *          --pv-kernel auto|portable|avx2 (batch PV kernel)
  *
  * Observability (see src/obs/): --stats-out=FILE --trace-out=FILE
  * --trace-buffer=N --manifest-out=FILE --telemetry-out=FILE
@@ -92,7 +92,7 @@ usage()
            "  --workload H1|H2|M1|M2|L1|L2|HM1|HM2|ML1|ML2\n"
            "  --policy opt|rr|ic|icm|fixed  --budget <W> (fixed policy)\n"
            "  --seed <n>  --days <n> (sweep)  --dt <s>  --threshold <W>\n"
-           "  --pv-kernel auto|scalar|portable|avx2\n"
+           "  --pv-kernel auto|portable|avx2\n"
            "  --stats-out=FILE (.json|.csv)  --trace-out=FILE (Chrome "
            "JSON, or JSONL for .jsonl)\n"
            "  --trace-buffer=<events>  --manifest-out=FILE\n"
@@ -302,18 +302,13 @@ main(int argc, char **argv)
 
     // Pin the batch PV kernel for the whole process; "auto" lets the
     // runtime dispatch pick the widest supported one.
-    if (opt.pvKernel == "auto") {
-        pv::setPvKernel(pv::detectPvKernel());
-    } else {
-        pv::PvKernel requested;
-        if (!pv::pvKernelFromToken(opt.pvKernel, requested) ||
-            !pv::pvKernelSupported(requested)) {
-            std::cerr << "solarcore_cli: pv kernel '" << opt.pvKernel
-                      << "' not supported on this cpu\n";
-            return 2;
-        }
-        pv::setPvKernel(requested);
+    pv::PvKernel kernel = pv::PvKernel::Portable;
+    if (!pv::resolvePvKernel(opt.pvKernel, kernel)) {
+        std::cerr << "solarcore_cli: pv kernel '" << opt.pvKernel
+                  << "' not supported on this cpu\n";
+        return 2;
     }
+    pv::setPvKernel(kernel);
 
     obs::RunManifest manifest(argc, argv);
     std::optional<obs::StatsRegistry> stats;

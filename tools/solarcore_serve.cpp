@@ -55,7 +55,7 @@ usage(const char *complaint = nullptr)
         "  --unit-cache=DIR         persistent unit cache (shared with\n"
         "                           solarcore_campaign --audit=off)\n"
         "  --unit-cache-cap=N       unit-cache LRU cap (default 4096)\n"
-        "  --pv-kernel=K            auto|scalar|portable|avx2\n"
+        "  --pv-kernel=K            auto|portable|avx2\n"
         "  --estimate-init-micros=X seed of the per-unit service-time\n"
         "                           estimate for deadline shedding\n"
         "  --status-out=FILE        status.json (atomic rename)\n"
