@@ -225,6 +225,36 @@ BM_PinRailVoltagePrepared(benchmark::State &state)
 BENCHMARK(BM_PinRailVoltagePrepared);
 
 void
+BM_PreparedArraySetEnvironment(benchmark::State &state)
+{
+    // The controller's per-step prepare through a PrepareMemo. Arg 0,
+    // a miss: every call brings a never-seen environment, so it pays
+    // the full derivation plus the memo insert (and, every kCapacity
+    // calls, a clear). Arg 1, a hit: a replayed trace of 97
+    // environments already in the memo, as on the second and later
+    // units of one weather trace.
+    const bool hit = state.range(0) != 0;
+    const auto &module = bench::standardModule();
+    pv::PrepareMemo memo;
+    pv::PreparedArray prepared(module, 1, 1);
+    prepared.setMemo(&memo);
+    const auto trace = batchEnvTrace(97);
+    for (const auto &env : trace)
+        prepared.setEnvironment(env);
+    std::size_t k = 0;
+    for (auto _ : state) {
+        ++k;
+        if (hit)
+            prepared.setEnvironment(trace[k % trace.size()]);
+        else
+            prepared.setEnvironment(
+                {120.0 + 1e-6 * static_cast<double>(k), 35.0});
+        benchmark::DoNotOptimize(prepared.mpp());
+    }
+}
+BENCHMARK(BM_PreparedArraySetEnvironment)->Arg(0)->Arg(1);
+
+void
 BM_PerfModelEvaluate(benchmark::State &state)
 {
     const cpu::PerfModel model{cpu::CoreConfig{}};

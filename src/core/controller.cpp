@@ -32,6 +32,7 @@ SolarCoreController::pinRail(double demand_w)
             prepared_.emplace(arrayPanel_->module(),
                               arrayPanel_->modulesSeries(),
                               arrayPanel_->modulesParallel());
+            prepared_->setMemo(prepareMemo_);
         }
         prepared_->setEnvironment(arrayPanel_->environment());
         return power::pinRailVoltage(*prepared_, converter_,

@@ -34,6 +34,7 @@
 #include "power/operating_point.hpp"
 #include "power/sensors.hpp"
 #include "pv/module.hpp"
+#include "pv/pv_kernel.hpp"
 
 namespace solarcore::obs {
 class TraceBuffer;
@@ -122,6 +123,19 @@ class SolarCoreController
         adapter_->setTrace(trace);
     }
 
+    /**
+     * Share @p memo (nullptr detaches) for the uniform-array pin path's
+     * per-environment state. The memo holds pure results only, so a
+     * controller's decisions are the same with or without one.
+     */
+    void
+    setPrepareMemo(pv::PrepareMemo *memo)
+    {
+        prepareMemo_ = memo;
+        if (prepared_)
+            prepared_->setMemo(memo);
+    }
+
   private:
     /** Can the panel carry @p demand_w with the configured margin? */
     bool sustainable(double demand_w);
@@ -153,6 +167,7 @@ class SolarCoreController
     const pv::IvSource *panel_;
     const pv::PvArray *arrayPanel_; //!< non-null when panel_ is uniform
     std::optional<pv::PreparedArray> prepared_;
+    pv::PrepareMemo *prepareMemo_ = nullptr;
     cpu::MultiCoreChip *chip_;
     LoadAdapter *adapter_;
     ControllerConfig config_;

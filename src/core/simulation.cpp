@@ -298,6 +298,14 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         local_cache.emplace(module, cfg.modulesSeries, cfg.modulesParallel);
     pv::MppCache &mpp_cache = local_cache ? *local_cache : *cfg.mppCache;
 
+    // Caller-owned workspace when provided, else a per-call local one.
+    std::optional<SimWorkspace> local_ws;
+    if (!cfg.workspace)
+        local_ws.emplace();
+    SimWorkspace &ws = cfg.workspace ? *cfg.workspace : *local_ws;
+    ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
+                      cpu::ThermalModel());
+
     obs::TraceBuffer *const tbuf = cfg.trace;
     // The hybrid tracks even under a Fixed-Power config.
     auto adapter = tracking
@@ -309,6 +317,7 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
     if (tracking) {
         controller.emplace(array, chip, *adapter, cfg.controller);
         controller->setTrace(tbuf);
+        controller->setPrepareMemo(&ws.prepareMemo);
     }
 
     const double threshold =
@@ -368,14 +377,6 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         period_consumed = RunningStats();
     };
 
-    // Caller-owned workspace when provided, else a per-call local one.
-    std::optional<SimWorkspace> local_ws;
-    if (!cfg.workspace)
-        local_ws.emplace();
-    SimWorkspace &ws = cfg.workspace ? *cfg.workspace : *local_ws;
-    ws.thermal.assign(static_cast<std::size_t>(chip.numCores()),
-                      cpu::ThermalModel());
-
     const double dt_min = cfg.dtSeconds / 60.0;
     const double dt_h = cfg.dtSeconds / 3600.0;
 
@@ -432,8 +433,18 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
         power::NetworkState step_net; //!< solved state, when tracking
         if (tracking)
             array.setEnvironment(ws.stepEnvs[step]);
-        result.thermalThrottles +=
-            stepThermal(chip, ws.thermal, trace.ambientAt(minute), cfg);
+        {
+            SC_PROFILE_SCOPE("thermal");
+            result.thermalThrottles +=
+                stepThermal(chip, ws.thermal, trace.ambientAt(minute), cfg);
+        }
+        // The chip's demand entering the step. A new die temperature
+        // invalidates every core's power estimate, so this is where the
+        // step re-evaluates the power model.
+        const double demand_w = [&] {
+            SC_PROFILE_SCOPE("chip.power");
+            return chip.totalPower();
+        }();
 
         const pv::MppResult mpp = ws.stepMpps[step++];
         result.mppEnergyWh += mpp.power * cfg.dtSeconds / 3600.0;
@@ -455,9 +466,9 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                     cfg.retrackSupplyDelta * last_track_budget;
             const bool demand_moved = tracking
                 ? last_track_demand > 0.0 &&
-                    std::abs(chip.totalPower() - last_track_demand) >
+                    std::abs(demand_w - last_track_demand) >
                         cfg.retrackDemandDelta * last_track_demand
-                : chip.totalPower() > budget_w;
+                : demand_w > budget_w;
             TrackResult tr;
             bool viable = true;
             if (!was_on_solar || due || supply_moved || demand_moved) {
@@ -470,7 +481,7 @@ runDay(const pv::PvModule &module, const solar::SolarTrace &trace,
                         : supply_moved ? obs::RetrackCause::SupplyDelta
                                        : obs::RetrackCause::DemandDelta);
                     e.v0 = budget_w;
-                    e.v1 = chip.totalPower();
+                    e.v1 = demand_w;
                     tbuf->emit(e);
                 }
                 if (tracking && (due || !was_on_solar))

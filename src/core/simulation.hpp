@@ -28,6 +28,7 @@
 #include "obs/stats_registry.hpp"
 #include "pv/bp3180n.hpp"
 #include "pv/mpp_cache.hpp"
+#include "pv/pv_kernel.hpp"
 #include "solar/trace.hpp"
 #include "workload/multiprogram.hpp"
 
@@ -40,21 +41,25 @@ class TraceBuffer;
 namespace solarcore::core {
 
 /**
- * Reusable scratch buffers for the day loop. Each simulateDay /
+ * Reusable scratch for the day loop. Each simulateDay /
  * simulateHybridDay / simulateBatteryDay call needs a per-step
  * environment/MPP staging area and one thermal model per core; with a
  * caller-owned workspace those buffers keep their capacity across
  * days, so a sweep over many units allocates only on its first day
- * (and on trace-length growth). The loop resets the *contents* every
- * call -- a workspace carries no state between days, only capacity --
- * which is what keeps results bit-identical with and without one. Not
- * thread-safe: one per worker, like MppCache.
+ * (and on trace-length growth). The loop resets the buffers' contents
+ * every call. The only thing a workspace carries from one day to the
+ * next, besides capacity, is a memo of a pure function: the tracked
+ * controller's per-environment PV state, which the units replaying one
+ * weather trace share. A memo hit returns bitwise what a miss
+ * computes, so results are identical with and without a workspace and
+ * in any unit order. Not thread-safe: one per worker, like MppCache.
  */
 struct SimWorkspace
 {
     std::vector<pv::Environment> stepEnvs;
     std::vector<pv::MppResult> stepMpps;
     std::vector<cpu::ThermalModel> thermal;
+    pv::PrepareMemo prepareMemo;
 };
 
 /** Configuration of one simulated day. */

@@ -1,7 +1,7 @@
 #include "mpp_cache.hpp"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "obs/profiler.hpp"
 #include "pv/pv_kernel.hpp"
@@ -19,10 +19,7 @@ quantize(double value, double quantum)
     // Exact mode: key on the bit pattern, so only identical doubles
     // collapse to one entry and cached results are bit-identical to
     // the uncached solve.
-    std::int64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
+    return std::bit_cast<std::int64_t>(value);
 }
 
 } // namespace
@@ -36,7 +33,7 @@ MppCache::MppCache(const PvModule &module, int modules_series,
               "MppCache: negative quantum");
 }
 
-MppCache::Key
+EnvKey
 MppCache::keyFor(const Environment &env) const
 {
     return {quantize(env.irradiance, gQuantum_),
@@ -50,7 +47,7 @@ MppCache::mpp(const Environment &env)
     if (env.irradiance <= 0.0)
         return MppResult{}; // dark: not worth an entry
 
-    const Key key = keyFor(env);
+    const EnvKey key = keyFor(env);
     const auto it = memo_.find(key);
     if (it != memo_.end()) {
         ++stats_.hits;
@@ -85,11 +82,11 @@ MppCache::lookupBatch(std::span<const Environment> envs,
     // within this batch -- sequentially the repeat would have hit the
     // entry the first occurrence inserted).
     std::vector<Environment> solve_envs;
-    std::vector<Key> solve_keys;
+    std::vector<EnvKey> solve_keys;
     for (const Environment &env : envs) {
         if (env.irradiance <= 0.0)
             continue; // dark: not worth an entry (as in mpp())
-        const Key key = keyFor(env);
+        const EnvKey key = keyFor(env);
         const auto [it, inserted] = memo_.emplace(key, MppResult{});
         if (!inserted) {
             ++stats_.hits;

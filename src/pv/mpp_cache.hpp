@@ -11,6 +11,7 @@
 #ifndef SOLARCORE_PV_MPP_CACHE_HPP
 #define SOLARCORE_PV_MPP_CACHE_HPP
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -19,6 +20,40 @@
 #include "pv/mpp.hpp"
 
 namespace solarcore::pv {
+
+/**
+ * A memo key for one (G, T) environment: two 64-bit halves, either the
+ * raw bit patterns (exact(), so only identical doubles collapse to one
+ * entry) or quantized bucket indices.
+ */
+struct EnvKey
+{
+    std::int64_t g = 0;
+    std::int64_t t = 0;
+
+    bool operator==(const EnvKey &) const = default;
+
+    /** The exact-bits key of @p env. */
+    static EnvKey
+    exact(const Environment &env)
+    {
+        return {std::bit_cast<std::int64_t>(env.irradiance),
+                std::bit_cast<std::int64_t>(env.cellTempC)};
+    }
+};
+
+struct EnvKeyHash
+{
+    std::size_t operator()(const EnvKey &k) const
+    {
+        // splitmix-style mix of both halves; equality is exact, so
+        // collisions only cost a probe, never a wrong result.
+        std::uint64_t h = static_cast<std::uint64_t>(k.g);
+        h ^= static_cast<std::uint64_t>(k.t) + 0x9e3779b97f4a7c15ULL +
+            (h << 6) + (h >> 2);
+        return static_cast<std::size_t>(h * 0xbf58476d1ce4e5b9ULL);
+    }
+};
 
 /**
  * Memoized MPP solver for one fixed array arrangement.
@@ -80,32 +115,12 @@ class MppCache
     const Stats &stats() const { return stats_; }
 
   private:
-    struct Key
-    {
-        std::int64_t g = 0;
-        std::int64_t t = 0;
-
-        bool operator==(const Key &) const = default;
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const
-        {
-            // splitmix-style mix of both halves; equality is exact, so
-            // collisions only cost a probe, never a wrong result.
-            std::uint64_t h = static_cast<std::uint64_t>(k.g);
-            h ^= static_cast<std::uint64_t>(k.t) + 0x9e3779b97f4a7c15ULL +
-                (h << 6) + (h >> 2);
-            return static_cast<std::size_t>(h * 0xbf58476d1ce4e5b9ULL);
-        }
-    };
-
-    Key keyFor(const Environment &env) const;
+    EnvKey keyFor(const Environment &env) const;
 
     PvArray array_;
     double gQuantum_;
     double tQuantum_;
-    std::unordered_map<Key, MppResult, KeyHash> memo_;
+    std::unordered_map<EnvKey, MppResult, EnvKeyHash> memo_;
     Stats stats_;
 };
 

@@ -261,6 +261,65 @@ findMppBatch(const PvModule &module, int modules_series,
     }
 }
 
+PreparedState
+prepareEnvironment(const SolarCell &cell, double v_scale, double i_scale,
+                   const Environment &env)
+{
+    PreparedState st;
+    st.vt = cell.thermalVoltage(env.cellTempC);
+    st.i0 = cell.saturationCurrent(env.cellTempC);
+    st.dark = env.irradiance <= 0.0;
+    if (st.dark) {
+        st.a = st.i0;
+        return st;
+    }
+    const double rs = cell.params().seriesRes;
+    st.iph = cell.photoCurrent(env);
+    st.a = st.iph + st.i0;
+    st.logC = rs > 0.0 ? std::log(st.i0 * rs / st.vt) + st.a * rs / st.vt
+                       : 0.0;
+    st.vocArray = cell.openCircuitVoltage(env) * v_scale;
+
+    // The MPP runs through the very same scalar calls findMpp(PvArray)
+    // makes, so the feasibility threshold a pin decision compares
+    // against (p_needed > mpp.power) is bitwise identical to the
+    // legacy path's.
+    const double v_cell = cell.mppVoltage(env);
+    const double i_cell = std::max(0.0, cell.currentAt(v_cell, env));
+    st.mpp.voltage = v_cell * v_scale;
+    st.mpp.current = i_cell * i_scale;
+    st.mpp.power = st.mpp.voltage * st.mpp.current;
+
+    // w-space bracket of the stable branch [Vmpp, Voc] for the pin
+    // solver: one cold Lambert solve at the MPP; the Voc end is exact
+    // (I = 0 at w = A Rs / Vt).
+    if (rs > 0.0) {
+        st.wMpp = lambertW0exp(st.logC + v_cell / st.vt);
+        st.wVoc = st.a * rs / st.vt;
+    }
+    return st;
+}
+
+const PreparedState &
+PrepareMemo::state(const SolarCell &cell, double v_scale, double i_scale,
+                   const Environment &env)
+{
+    if (v_scale != vScale_ || i_scale != iScale_ ||
+        cell.params() != params_) {
+        memo_.clear();
+        params_ = cell.params();
+        vScale_ = v_scale;
+        iScale_ = i_scale;
+    }
+    const EnvKey key = EnvKey::exact(env);
+    if (const auto it = memo_.find(key); it != memo_.end())
+        return it->second;
+    if (memo_.size() >= kCapacity)
+        memo_.clear();
+    return memo_.emplace(key, prepareEnvironment(cell, v_scale, i_scale, env))
+        .first->second;
+}
+
 PreparedArray::PreparedArray(const PvModule &module, int modules_series,
                              int modules_parallel)
     : cell_(module.cell()),
@@ -269,7 +328,8 @@ PreparedArray::PreparedArray(const PvModule &module, int modules_series,
           static_cast<double>(module.stringsParallel() * modules_parallel)),
       modulesSeries_(modules_series), cellsSeries_(module.cellsSeries()),
       stringsParallel_(module.stringsParallel()),
-      modulesParallel_(modules_parallel)
+      modulesParallel_(modules_parallel),
+      rs_(module.cell().params().seriesRes)
 {
     SC_ASSERT(modules_series > 0 && modules_parallel > 0,
               "PreparedArray: arrangement must be positive");
@@ -284,57 +344,17 @@ PreparedArray::setEnvironment(const Environment &env)
     SC_PROFILE_SCOPE("pv.prepare");
     env_ = env;
     prepared_ = true;
-
-    vt_ = cell_.thermalVoltage(env.cellTempC);
-    i0_ = cell_.saturationCurrent(env.cellTempC);
-    rs_ = cell_.params().seriesRes;
-    dark_ = env.irradiance <= 0.0;
-    if (dark_) {
-        iph_ = 0.0;
-        a_ = i0_;
-        logC_ = 0.0;
-        vocCell_ = 0.0;
-        vocArray_ = 0.0;
-        mpp_ = MppResult{};
-        return;
-    }
-    iph_ = cell_.photoCurrent(env);
-    a_ = iph_ + i0_;
-    logC_ = rs_ > 0.0
-        ? std::log(i0_ * rs_ / vt_) + a_ * rs_ / vt_
-        : 0.0;
-    vocCell_ = cell_.openCircuitVoltage(env);
-    vocArray_ = vocCell_ * vScale_;
-
-    // The MPP runs through the very same scalar calls findMpp(PvArray)
-    // makes, so the feasibility threshold a pin decision compares
-    // against (p_needed > mpp.power) is bitwise identical to the
-    // legacy path's.
-    const double v_cell = cell_.mppVoltage(env);
-    const double i_cell = std::max(0.0, cell_.currentAt(v_cell, env));
-    mpp_.voltage = v_cell * vScale_;
-    mpp_.current = i_cell * iScale_;
-    mpp_.power = mpp_.voltage * mpp_.current;
-
-    // w-space bracket of the stable branch [Vmpp, Voc] for the pin
-    // solver: one cold Lambert solve at the MPP; the Voc end is exact
-    // (I = 0 at w = A Rs / Vt).
-    if (rs_ > 0.0) {
-        wMpp_ = lambertW0exp(logC_ + v_cell / vt_);
-        wVoc_ = a_ * rs_ / vt_;
-    } else {
-        wMpp_ = 0.0;
-        wVoc_ = 0.0;
-    }
+    st_ = memo_ ? memo_->state(cell_, vScale_, iScale_, env)
+                : prepareEnvironment(cell_, vScale_, iScale_, env);
 }
 
 double
 PreparedArray::cellCurrentAt(double v_cell) const
 {
-    if (dark_ || rs_ <= 0.0)
-        return iph_ - i0_ * std::expm1(v_cell / vt_);
-    const double w = lambertW0exp(logC_ + v_cell / vt_);
-    return a_ - w * vt_ / rs_;
+    if (st_.dark || rs_ <= 0.0)
+        return st_.iph - st_.i0 * std::expm1(v_cell / st_.vt);
+    const double w = lambertW0exp(st_.logC + v_cell / st_.vt);
+    return st_.a - w * st_.vt / rs_;
 }
 
 double
@@ -356,7 +376,7 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
                                  double &i_array) const
 {
     SC_ASSERT(prepared_, "PreparedArray: no environment set");
-    if (dark_ || p_array_w > mpp_.power)
+    if (st_.dark || p_array_w > st_.mpp.power)
         return false;
 
     if (rs_ <= 0.0) {
@@ -364,14 +384,16 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
         // the exact expm1 formulas, bisecting when a step degenerates
         // or escapes the bracket. f is monotone decreasing here with
         // f(Vmpp) >= 0 >= f(Voc), so the bracket never empties.
-        double lo = mpp_.voltage;
-        double hi = vocArray_;
+        double lo = st_.mpp.voltage;
+        double hi = st_.vocArray;
         double v = 0.5 * (lo + hi);
         const double slope_scale = iScale_ / vScale_;
         for (int it = 0; it < 60; ++it) {
             const double v_cell = v / modulesSeries_ / cellsSeries_;
-            const double i_cell = iph_ - i0_ * std::expm1(v_cell / vt_);
-            const double di_cell = -i0_ / vt_ * std::exp(v_cell / vt_);
+            const double i_cell =
+                st_.iph - st_.i0 * std::expm1(v_cell / st_.vt);
+            const double di_cell =
+                -st_.i0 / st_.vt * std::exp(v_cell / st_.vt);
             const double i = std::max(0.0, i_cell) * stringsParallel_ *
                 modulesParallel_;
             const double f = v * i - p_array_w;
@@ -407,14 +429,14 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
     // demands thousands of times between environment changes, so the
     // previous root -- while it still lies inside the fresh bracket --
     // beats the midpoint seed by several iterations.
-    double lo = wMpp_;
-    double hi = wVoc_;
+    double lo = st_.wMpp;
+    double hi = st_.wVoc;
     double w = (warmW_ > lo && warmW_ < hi) ? warmW_ : 0.5 * (lo + hi);
-    const double s = vt_ / rs_;
+    const double s = st_.vt / rs_;
     for (int it = 0; it < 60; ++it) {
         const double y = w + std::log(w);
-        const double v = vScale_ * vt_ * (y - logC_);
-        const double i_cell = a_ - s * w;
+        const double v = vScale_ * st_.vt * (y - st_.logC);
+        const double i_cell = st_.a - s * w;
         const double i =
             std::max(0.0, i_cell) * stringsParallel_ * modulesParallel_;
         const double f = v * i - p_array_w;
@@ -425,7 +447,7 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
             hi = w;
 
         const double df =
-            vScale_ * vt_ * (1.0 + 1.0 / w) * i - v * iScale_ * s;
+            vScale_ * st_.vt * (1.0 + 1.0 / w) * i - v * iScale_ * s;
 
         double next = df != 0.0 ? w - f / df : 0.5 * (lo + hi);
         if (std::abs(next - w) <= 1e-13 * (1.0 + std::abs(w))) {
@@ -437,8 +459,8 @@ PreparedArray::solveStableBranch(double p_array_w, double &v_array,
         w = next;
     }
     warmW_ = w;
-    v_array = vScale_ * vt_ * (w + std::log(w) - logC_);
-    i_array = std::max(0.0, a_ - s * w) * stringsParallel_ *
+    v_array = vScale_ * st_.vt * (w + std::log(w) - st_.logC);
+    i_array = std::max(0.0, st_.a - s * w) * stringsParallel_ *
         modulesParallel_;
     return true;
 }

@@ -19,7 +19,10 @@
  *  3. PreparedArray caches one environment's derived constants so the
  *     controller's repeated pinRailVoltage() probes at a fixed
  *     environment cost a handful of warm Lambert evaluations instead
- *     of a full findMpp plus a 40-step std::function bisect each.
+ *     of a full findMpp plus a 40-step std::function bisect each. The
+ *     constants are one pure function of (cell, arrangement, G, T)
+ *     (prepareEnvironment()), so a PrepareMemo shared across the days
+ *     that replay one weather trace derives each environment once.
  *
  * Each kind of panel has exactly one production route: a uniform
  * PvArray goes through these batch kernels plus PreparedArray, and a
@@ -38,8 +41,10 @@
 
 #include <span>
 #include <string_view>
+#include <unordered_map>
 
 #include "pv/mpp.hpp"
+#include "pv/mpp_cache.hpp"
 
 namespace solarcore::pv {
 
@@ -108,6 +113,62 @@ void findMppBatch(const PvModule &module, int modules_series,
                   std::span<MppResult> out);
 
 /**
+ * The constants PreparedArray derives for one environment. A plain
+ * value: everything here is a pure function of the cell, the
+ * arrangement's scales and the exact (G, T) bits, so a memoized copy
+ * is bitwise the freshly computed one.
+ */
+struct PreparedState
+{
+    bool dark = true;
+    double vt = 0.0;
+    double i0 = 0.0;
+    double iph = 0.0;
+    double a = 0.0;        //!< Iph + I0
+    double logC = 0.0;     //!< log(I0 Rs / Vt) + A Rs / Vt (Rs > 0)
+    double vocArray = 0.0; //!< array open-circuit voltage [V]
+    MppResult mpp;         //!< array-level MPP
+    double wMpp = 0.0;     //!< Lambert w at the cell MPP voltage (Rs > 0)
+    double wVoc = 0.0;     //!< Lambert w where I = 0: A Rs / Vt (Rs > 0)
+};
+
+/**
+ * Derive the prepared state of @p cell under @p env for an array whose
+ * cell voltage scales by @p v_scale and cell current by @p i_scale.
+ */
+PreparedState prepareEnvironment(const SolarCell &cell, double v_scale,
+                                 double i_scale, const Environment &env);
+
+/**
+ * Bounded memo of prepareEnvironment(), keyed by the exact (G, T) bits
+ * and tagged with the cell parameters and scales it was filled for.
+ * A lookup for a different array clears it and re-tags it, so arrays
+ * may share one memo (at the cost of misses); reaching kCapacity
+ * clears it too. Storage is allocated on the first insert. Not
+ * thread-safe: one per worker (core::SimWorkspace owns one).
+ */
+class PrepareMemo
+{
+  public:
+    /** Entries kept before a clear: a few days of distinct environments
+     *  at dt = 30 s, so days that alternate seeds still hit. */
+    static constexpr std::size_t kCapacity = 4096;
+
+    /** prepareEnvironment(cell, v_scale, i_scale, env), memoized. The
+     *  reference stays valid until the next call. */
+    const PreparedState &state(const SolarCell &cell, double v_scale,
+                               double i_scale, const Environment &env);
+
+    std::size_t size() const { return memo_.size(); }
+
+  private:
+    CellParams params_;
+    double vScale_ = 0.0; //!< 0: untagged, never a real scale
+    double iScale_ = 0.0;
+    std::unordered_map<EnvKey, PreparedState, EnvKeyHash> memo_;
+};
+
+/**
  * Per-environment prepared solver for one uniform PV array.
  *
  * setEnvironment() derives the Lambert-W constants (Vt, Iph, I0, the
@@ -119,7 +180,9 @@ void findMppBatch(const PvModule &module, int modules_series,
  *
  * The MPP is computed with the same scalar code path findMpp(PvArray)
  * uses, so feasibility decisions (p_needed > mpp.power) are bitwise
- * identical to the legacy pin path.
+ * identical to the legacy pin path. With a PrepareMemo attached, an
+ * environment seen before takes its state from the memo; the pin
+ * solver's warm start stays per-array, so results are unchanged.
  */
 class PreparedArray
 {
@@ -127,16 +190,19 @@ class PreparedArray
     PreparedArray(const PvModule &module, int modules_series,
                   int modules_parallel);
 
+    /** Derive states through @p memo from now on (nullptr: directly). */
+    void setMemo(PrepareMemo *memo) { memo_ = memo; }
+
     /** Rebind to @p env; a no-op when the bits are unchanged. */
     void setEnvironment(const Environment &env);
 
-    bool dark() const { return dark_; }
+    bool dark() const { return st_.dark; }
 
     /** Array open-circuit voltage at the prepared environment [V]. */
-    double openCircuitVoltage() const { return vocArray_; }
+    double openCircuitVoltage() const { return st_.vocArray; }
 
     /** Array-level MPP at the prepared environment. */
-    const MppResult &mpp() const { return mpp_; }
+    const MppResult &mpp() const { return st_.mpp; }
 
     /** Array terminal current at array voltage @p v_array [A]. */
     double currentAt(double v_array) const;
@@ -163,22 +229,15 @@ class PreparedArray
     int stringsParallel_;
     int modulesParallel_;
 
+    double rs_; //!< cell series resistance
+
     Environment env_{-1.0, -1000.0}; //!< sentinel: never a real env
     bool prepared_ = false;
-    bool dark_ = true;
-    double vt_ = 0.0;
-    double iph_ = 0.0;
-    double i0_ = 0.0;
-    double a_ = 0.0;   //!< Iph + I0
-    double rs_ = 0.0;
-    double logC_ = 0.0; //!< log(I0 Rs / Vt) + A Rs / Vt
-    double vocCell_ = 0.0;
-    double vocArray_ = 0.0;
-    MppResult mpp_;
-    double wMpp_ = 0.0; //!< Lambert w at the cell MPP voltage (Rs > 0)
-    double wVoc_ = 0.0; //!< Lambert w where I = 0: A Rs / Vt (Rs > 0)
+    PreparedState st_;
+    PrepareMemo *memo_ = nullptr;
     //! Previous stable-branch root (in w), seeding the next pin's
-    //! Newton solve while it still lies inside the fresh bracket.
+    //! Newton solve while it still lies inside the fresh bracket. Per
+    //! array, never memoized: it depends on the pin history.
     mutable double warmW_ = -1.0;
 };
 

@@ -4,6 +4,9 @@
  * ranges, determinism, and the paper's qualitative policy ordering.
  */
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
@@ -189,6 +192,71 @@ TEST(Simulation, TimelineOnlyWhenRequested)
     const auto r = simulateDay(module, trace, workload::WorkloadId::L1, cfg);
     EXPECT_GE(r.timeline.size(), 590u);
     EXPECT_LE(r.timeline.size(), 610u);
+}
+
+/** Every DayResult field of @p got equals @p want's, bit for bit. */
+void
+expectSameDayBits(const DayResult &got, const DayResult &want)
+{
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(got.mppEnergyWh), bits(want.mppEnergyWh));
+    EXPECT_EQ(bits(got.solarEnergyWh), bits(want.solarEnergyWh));
+    EXPECT_EQ(bits(got.gridEnergyWh), bits(want.gridEnergyWh));
+    EXPECT_EQ(bits(got.chipEnergyWh), bits(want.chipEnergyWh));
+    EXPECT_EQ(bits(got.utilization), bits(want.utilization));
+    EXPECT_EQ(bits(got.effectiveFraction), bits(want.effectiveFraction));
+    EXPECT_EQ(bits(got.solarInstructions), bits(want.solarInstructions));
+    EXPECT_EQ(bits(got.totalInstructions), bits(want.totalInstructions));
+    EXPECT_EQ(bits(got.avgTrackingError), bits(want.avgTrackingError));
+    EXPECT_EQ(got.transferCount, want.transferCount);
+    EXPECT_EQ(got.thermalThrottles, want.thermalThrottles);
+    EXPECT_EQ(got.retracks, want.retracks);
+    EXPECT_EQ(got.controllerSteps, want.controllerSteps);
+    ASSERT_EQ(got.timeline.size(), want.timeline.size());
+    for (std::size_t i = 0; i < got.timeline.size(); ++i) {
+        const TimelinePoint &g = got.timeline[i], &w = want.timeline[i];
+        EXPECT_EQ(bits(g.minute), bits(w.minute));
+        EXPECT_EQ(bits(g.budgetW), bits(w.budgetW));
+        EXPECT_EQ(bits(g.consumedW), bits(w.consumedW));
+        EXPECT_EQ(g.onSolar, w.onSolar);
+    }
+}
+
+TEST(Simulation, ReusedWorkspaceMatchesFreshDayBitwise)
+{
+    // A workspace reused across tracked days shares its PV memo
+    // between them. Days of two weather seeds, interleaved as a
+    // campaign thread runs them, and then the same days on a second
+    // array arrangement, must each come out exactly as a day run on a
+    // fresh workspace.
+    const auto module = pv::buildBp3180n();
+    const solar::SolarTrace traces[] = {
+        solar::generateDayTrace(solar::SiteId::AZ, solar::Month::Jul, 1),
+        solar::generateDayTrace(solar::SiteId::AZ, solar::Month::Jul, 2)};
+    SimWorkspace ws;
+    for (const int parallel : {1, 2}) {
+        for (const PolicyKind policy :
+             {PolicyKind::MpptOpt, PolicyKind::MpptRr, PolicyKind::MpptIc}) {
+            for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "modulesParallel " << parallel << " policy "
+                             << static_cast<int>(policy) << " seed " << seed);
+                auto cfg = fastConfig(policy);
+                cfg.seed = seed;
+                cfg.modulesParallel = parallel;
+                cfg.recordTimeline = true;
+                const auto &trace = traces[seed - 1];
+                const DayResult fresh = simulateDay(
+                    module, trace, workload::WorkloadId::HM2, cfg);
+                cfg.workspace = &ws;
+                expectSameDayBits(
+                    simulateDay(module, trace, workload::WorkloadId::HM2,
+                                cfg),
+                    fresh);
+            }
+        }
+    }
+    EXPECT_GT(ws.prepareMemo.size(), 0u);
 }
 
 TEST(BatterySim, UpperBoundBeatsLowerBound)

@@ -14,7 +14,10 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -334,6 +337,92 @@ TEST(PvKernel, PreparedArrayMatchesPvArray)
                 << " v=" << v;
         }
     }
+}
+
+/** Bits of @p x, so a comparison also tells -0 from 0 and NaNs apart. */
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/**
+ * Bind both arrays to @p env and require every result of @p got (which
+ * draws on a memo) to equal @p want's (which derives afresh) bit for
+ * bit: the prepared state itself, the curve at several voltages, and
+ * stable-branch pins at several powers. Pins run in the same order on
+ * both, so their warm starts stay in step.
+ */
+void
+expectSameBits(PreparedArray &got, PreparedArray &want,
+               const Environment &env)
+{
+    got.setEnvironment(env);
+    want.setEnvironment(env);
+    SCOPED_TRACE(testing::Message() << "G=" << env.irradiance
+                                    << " T=" << env.cellTempC);
+    ASSERT_EQ(got.dark(), want.dark());
+    EXPECT_EQ(bitsOf(got.mpp().voltage), bitsOf(want.mpp().voltage));
+    EXPECT_EQ(bitsOf(got.mpp().current), bitsOf(want.mpp().current));
+    EXPECT_EQ(bitsOf(got.mpp().power), bitsOf(want.mpp().power));
+    const double voc = want.openCircuitVoltage();
+    EXPECT_EQ(bitsOf(got.openCircuitVoltage()), bitsOf(voc));
+    for (double frac : {0.0, 0.3, 0.7, 0.95, 1.0})
+        EXPECT_EQ(bitsOf(got.currentAt(frac * voc)),
+                  bitsOf(want.currentAt(frac * voc)));
+    for (double frac : {0.1, 0.5, 0.9, 1.0, 1.1}) {
+        const double p = frac * want.mpp().power;
+        double v_got = 0.0, i_got = 0.0, v_want = 0.0, i_want = 0.0;
+        ASSERT_EQ(got.solveStableBranch(p, v_got, i_got),
+                  want.solveStableBranch(p, v_want, i_want));
+        EXPECT_EQ(bitsOf(v_got), bitsOf(v_want));
+        EXPECT_EQ(bitsOf(i_got), bitsOf(i_want));
+    }
+}
+
+TEST(PvKernel, PreparedMemoMatchesFreshBitwise)
+{
+    KernelGuard guard;
+    setPvKernel(PvKernel::Portable);
+    PrepareMemo memo;
+    PreparedArray a(testModule(), 2, 2), a_fresh(testModule(), 2, 2);
+    PreparedArray b(testModule(), 1, 3), b_fresh(testModule(), 1, 3);
+    a.setMemo(&memo);
+    b.setMemo(&memo);
+
+    const std::vector<Environment> grid = envGrid();
+    std::vector<Environment> shuffled = grid;
+    std::mt19937 rng(7);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    const auto walk = [](PreparedArray &got, PreparedArray &want,
+                         const std::vector<Environment> &envs) {
+        for (const auto &env : envs)
+            expectSameBits(got, want, env);
+    };
+
+    // Misses fill the memo; the shuffled and repeated walks then hit.
+    walk(a, a_fresh, grid);
+    walk(a, a_fresh, shuffled);
+    walk(a, a_fresh, grid);
+    EXPECT_EQ(memo.size(), grid.size());
+
+    // The other arrangement shares the memo: its lookups must never be
+    // served A's states, nor A's next ones B's.
+    walk(b, b_fresh, grid);
+    walk(b, b_fresh, shuffled);
+    walk(a, a_fresh, shuffled);
+    EXPECT_EQ(memo.size(), grid.size());
+
+    // Past the capacity the memo clears and refills; a revisit after
+    // the clear must still match.
+    std::vector<Environment> many;
+    for (std::size_t k = 0; k < PrepareMemo::kCapacity + 100; ++k)
+        many.push_back({200.0 + 0.125 * static_cast<double>(k),
+                        20.0 + static_cast<double>(k % 5)});
+    walk(a, a_fresh, many);
+    walk(a, a_fresh, grid);
+    walk(a, a_fresh, shuffled);
+    EXPECT_LE(memo.size(), PrepareMemo::kCapacity);
 }
 
 TEST(PvKernel, PinRailPreparedMatchesLegacyPin)
